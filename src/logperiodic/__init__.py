@@ -5,7 +5,7 @@ windows, computes positive/negative confidence indicators, and classifies
 crashes as endogenous or exogenous from the peak indicator.
 """
 
-from .calibrate import FitResult, SearchConfig, Window, cost, fit, grid_oracle, linear_solve
+from .calibrate import FitResult, SearchConfig, Window, cost, fit, linear_solve
 from .classify import (
     CrashAssessment,
     CrashStats,
@@ -45,7 +45,7 @@ from .qualify import (
     ou_test,
     qualify,
 )
-from .series import PricePoint, PriceSeries, emit_csv, ingest, resample
+from .series import PriceSeries, emit_csv, ingest, resample
 from .synth import SynthSpec, generate, trading_dates
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ __all__ = [
     "linear_solve",
     "cost",
     "fit",
-    "grid_oracle",
 ]
 
 # tc may approach the window end but never touch it, so ln(tc - t2) stays finite.
@@ -224,38 +223,3 @@ def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig())
     tc, m, omega = result.x
     return _result_at(t, y, tc, m, omega, window.length, result.evaluations)
 
-
-def grid_oracle(
-    series: PriceSeries,
-    window: Window,
-    grid_spec: tuple[int, int, int],
-    cfg: SearchConfig = SearchConfig(),
-) -> FitResult:
-    """Exhaustive profiled-cost evaluation on a regular (tc, m, omega) grid.
-
-    Testing oracle: slower but assumption-free. Applies the same
-    admissibility rules as fit(); returns the grid minimizer.
-    """
-    n_tc, n_m, n_omega = (int(k) for k in grid_spec)
-    if n_tc < 1 or n_m < 1 or n_omega < 1:
-        raise ValidationError(f"empty grid spec {grid_spec}")
-    t, y = _window_arrays(series, window)
-    tc_lo, tc_hi = cfg.tc_bounds(window)
-    tcs = np.linspace(tc_lo + TC_GUARD, tc_hi, n_tc)
-    ms = np.linspace(cfg.m_min, cfg.m_max, n_m)
-    omegas = np.linspace(cfg.omega_min, cfg.omega_max, n_omega)
-    func = _objective(t, y, cfg)
-
-    best = (math.inf, None)
-    evals = 0
-    for tc in tcs:
-        for m in ms:
-            for omega in omegas:
-                value = func((tc, m, omega))
-                evals += 1
-                if value < best[0]:
-                    best = (value, (tc, m, omega))
-    if best[1] is None:
-        raise FitFailedError(f"no admissible grid point among {evals}")
-    tc, m, omega = best[1]
-    return _result_at(t, y, tc, m, omega, window.length, evals)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as _dt
+import enum
 import fractions
 import json
 import os
 import sys
-from dataclasses import dataclass
+import typing
 
 from . import calibrate, indicator
 from . import series as series_mod
@@ -42,35 +43,19 @@ EXIT_COMPUTE = 5
 
 WORKERS_ENV = "LOGPERIODIC_WORKERS"
 
+SCAN_COLUMNS = ("date", "t2", "positive_ci", "negative_ci", "pos_count", "neg_count", "total_windows")
+SCAN_HEADER = ",".join(SCAN_COLUMNS)
 
-@dataclass
-class RunConfig:
-    """Every tunable of the pipeline, with defaults matching the reference setup."""
+
+@dataclasses.dataclass
+class _RunFields:
+    """Run-only settings of the CLI; RunConfig adds the library config fields."""
 
     input: str | None = None
     stride: int = 1
     max_window: int = 650
     min_window: int = 30
     window_step: int = 5
-    m_min: float = 0.0
-    m_max: float = 1.0
-    omega_min: float = 1.0
-    omega_max: float = 50.0
-    tc_extension: float = 1.0 / 3.0
-    damping_floor: float = 1.0
-    population: int = 7
-    max_evaluations: int = 2000
-    restarts: int = 5
-    filter_m_min: float = 0.01
-    filter_m_max: float = 0.99
-    filter_omega_min: float = 2.0
-    filter_omega_max: float = 25.0
-    filter_tc_extension: float = 0.2
-    oscillation_threshold: float = 2.5
-    oscillation_divisor: float = 2.0
-    max_rel_error: float = 0.20
-    lomb_alpha: float = 0.05
-    ou_alpha: float = 0.05
     threshold: float | None = None  # resolved: 0.05 for stride 1, 0.02 coarser
     t2_first: int | None = None
     t2_last: int | None = None
@@ -80,33 +65,15 @@ class RunConfig:
     format: str | None = None
     workers: int | None = None
 
+    def _library_values(self, cls) -> dict:
+        return {f.name: getattr(self, key) for key, (owner, f) in _LIBRARY_FIELDS.items() if owner is cls}
+
     def search_config(self) -> calibrate.SearchConfig:
-        return calibrate.SearchConfig(
-            m_min=self.m_min,
-            m_max=self.m_max,
-            omega_min=self.omega_min,
-            omega_max=self.omega_max,
-            tc_extension=self.tc_extension,
-            damping_floor=self.damping_floor,
-            population=self.population,
-            max_evaluations=self.max_evaluations,
-            restarts=self.restarts,
-            seed=self.seed if self.seed is not None else 0,
-        )
+        seed = self.seed if self.seed is not None else 0
+        return calibrate.SearchConfig(**self._library_values(calibrate.SearchConfig), seed=seed)
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            m_min=self.filter_m_min,
-            m_max=self.filter_m_max,
-            omega_min=self.filter_omega_min,
-            omega_max=self.filter_omega_max,
-            tc_extension=self.filter_tc_extension,
-            oscillation_threshold=self.oscillation_threshold,
-            oscillation_divisor=self.oscillation_divisor,
-            max_rel_error=self.max_rel_error,
-            lomb_alpha=self.lomb_alpha,
-            ou_alpha=self.ou_alpha,
-        )
+        return FilterConfig(**self._library_values(FilterConfig))
 
     def scheme(self) -> indicator.WindowScheme:
         return indicator.WindowScheme(self.max_window, self.min_window, self.window_step)
@@ -121,25 +88,46 @@ class RunConfig:
             return self.workers
         env = os.environ.get(WORKERS_ENV)
         if env:
-            return int(env)
+            try:
+                return int(env)
+            except ValueError:
+                raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
         return os.cpu_count() or 1
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {
-    "stride", "max_window", "min_window", "window_step", "population",
-    "max_evaluations", "restarts", "t2_first", "t2_last", "t2_step",
-    "seed", "workers",
+_SEARCH_NAMES = {f.name for f in dataclasses.fields(calibrate.SearchConfig)}
+
+# RunConfig key -> (library config class, field). The key is the field name;
+# a FilterConfig field whose name SearchConfig also uses takes a `filter_`
+# prefix, and `seed` stays a run field.
+_LIBRARY_FIELDS = {
+    ("filter_" if cls is FilterConfig and f.name in _SEARCH_NAMES else "") + f.name: (cls, f)
+    for cls in (calibrate.SearchConfig, FilterConfig)
+    for f in dataclasses.fields(cls)
+    if f.name != "seed"
 }
-_STR_FIELDS = {"input", "output", "format"}
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [
+        (key, typing.get_type_hints(cls)[f.name], dataclasses.field(default=f.default))
+        for key, (cls, f) in _LIBRARY_FIELDS.items()
+    ],
+    bases=(_RunFields,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Every tunable of the pipeline, with defaults matching the reference setup.",
+    },
+)
 
 
-def _coerce_field(name: str, raw: str):
-    if name in _STR_FIELDS:
-        return raw
-    if name in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+def _scalar_type(hint) -> type:
+    """int, float or str: a field's type with any `| None` dropped."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return args[0] if args else hint
+
+
+_FIELD_TYPES = {name: _scalar_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str) -> dict:
@@ -153,10 +141,16 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValidationError(f"{path} line {line_no}: expected 'key = value'")
             key, _, raw = line.partition("=")
-            key = key.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in _FIELD_TYPES:
                 raise ValidationError(f"{path} line {line_no}: unknown config key {key!r}")
-            values[key] = _coerce_field(key, raw.strip())
+            field_type = _FIELD_TYPES[key]
+            try:
+                values[key] = field_type(raw)
+            except ValueError:
+                raise ValidationError(
+                    f"{path} line {line_no}: {key} = {raw!r} is not a valid {field_type.__name__}"
+                ) from None
     return values
 
 
@@ -185,9 +179,9 @@ def _json_default(obj):
         return {"numerator": obj.numerator, "denominator": obj.denominator, "value": float(obj)}
     if isinstance(obj, _dt.date):
         return obj.isoformat()
-    if hasattr(obj, "value") and isinstance(obj, object) and obj.__class__.__module__.startswith("logperiodic"):
-        return obj.value  # enums
-    return str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
 def _dump_json(payload: dict) -> str:
@@ -243,7 +237,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         noise_sigma=args.noise_sigma,
         seed=cfg.seed if cfg.seed is not None else 0,
         noise_phi=args.noise_phi,
-        start_date=_dt.date.fromisoformat(args.start_date),
+        start_date=_iso_date(args.start_date, "--start-date"),
     )
     generated = synth_mod.generate(spec)
     _write_output(_csv_with_config(cfg, series_mod.emit_csv(generated)), cfg.output)
@@ -251,6 +245,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def _fit_payload(cfg, window, result, report):
+    qualification = dataclasses.asdict(report)
+    sign = qualification.pop("sign")
     return {
         "config": config_dict(cfg),
         "window": {"t1": window.t1, "t2": window.t2, "length": window.length},
@@ -259,21 +255,8 @@ def _fit_payload(cfg, window, result, report):
         "n_points": result.n_points,
         "converged": result.converged,
         "evaluations": result.evaluations,
-        "qualification": {
-            "m_in_range": report.m_in_range,
-            "omega_in_range": report.omega_in_range,
-            "tc_in_range": report.tc_in_range,
-            "oscillations_ok": report.oscillations_ok,
-            "rel_error_ok": report.rel_error_ok,
-            "lomb_ok": report.lomb_ok,
-            "ou_ok": report.ou_ok,
-            "oscillation_count": report.oscillation_count,
-            "max_relative_error": report.max_relative_error,
-            "lomb_false_alarm": report.lomb_false_alarm,
-            "ar1_coefficient": report.ar1_coefficient,
-            "qualified": report.qualified,
-        },
-        "sign": report.sign.value,
+        "qualification": qualification,
+        "sign": sign,
     }
 
 
@@ -287,15 +270,20 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(loaded, points):
-    rows = ["date,t2,positive_ci,negative_ci,pos_count,neg_count,total_windows"]
+def _scan_row(loaded, p) -> dict:
+    """One scan output record, for the CSV and the JSON output alike."""
+    values = (loaded.date_of(p.t2), p.t2, p.positive_ci, p.negative_ci,
+              p.windows_qualified_pos, p.windows_qualified_neg, p.windows_total)
+    return dict(zip(SCAN_COLUMNS, values))
+
+
+def _scan_csv(loaded, points) -> str:
+    lines = [SCAN_HEADER]
     for p in points:
-        date = loaded.date_of(p.t2)
-        rows.append(
-            f"{date.isoformat() if date else ''},{p.t2},{p.positive_ci!r},{p.negative_ci!r},"
-            f"{p.windows_qualified_pos},{p.windows_qualified_neg},{p.windows_total}"
-        )
-    return "\n".join(rows) + "\n"
+        row = _scan_row(loaded, p)
+        date = row.pop("date")
+        lines.append(",".join([date.isoformat() if date else "", *map(repr, row.values())]))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
@@ -321,22 +309,11 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     if (cfg.format or "csv") == "json":
         payload = {
             "config": config_dict(cfg),
-            "points": [
-                {
-                    "date": loaded.date_of(p.t2),
-                    "t2": p.t2,
-                    "positive_ci": p.positive_ci,
-                    "negative_ci": p.negative_ci,
-                    "pos_count": p.windows_qualified_pos,
-                    "neg_count": p.windows_qualified_neg,
-                    "total_windows": p.windows_total,
-                }
-                for p in points
-            ],
+            "points": [_scan_row(loaded, p) for p in points],
         }
         _write_output(_dump_json(payload), cfg.output)
     else:
-        _write_output(_csv_with_config(cfg, _scan_rows(loaded, points)), cfg.output)
+        _write_output(_csv_with_config(cfg, _scan_csv(loaded, points)), cfg.output)
     return EXIT_OK
 
 
@@ -346,22 +323,28 @@ def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError("empty indicator table")
-    expected = "date,t2,positive_ci,negative_ci,pos_count,neg_count,total_windows"
-    if lines[0].strip() != expected:
+    if lines[0].strip() != SCAN_HEADER:
         raise ValidationError(f"unexpected indicator table header {lines[0]!r}")
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != 7:
+        if len(cells) != len(SCAN_COLUMNS):
             raise ValidationError(f"malformed indicator row {line!r}")
-        points.append(
-            indicator.IndicatorPoint(
-                t2=int(cells[1]),
-                windows_total=int(cells[6]),
-                windows_qualified_pos=int(cells[4]),
-                windows_qualified_neg=int(cells[5]),
-            )
-        )
+        row = dict(zip(SCAN_COLUMNS, cells))
+        try:
+            t2, pos, neg, total = (int(row[k]) for k in ("t2", "pos_count", "neg_count", "total_windows"))
+        except ValueError:
+            raise ValidationError(f"non-integer cell in indicator row {line!r}") from None
+        if total <= 0 or pos < 0 or neg < 0 or pos + neg > total:
+            raise ValidationError(f"inconsistent counts in indicator row {line!r}")
+        points.append(indicator.IndicatorPoint(t2, total, pos, neg))
     return points
+
+
+def _iso_date(raw: str, what: str) -> _dt.date:
+    try:
+        return _dt.date.fromisoformat(raw)
+    except ValueError:
+        raise ValidationError(f"{what} {raw!r} is not a YYYY-MM-DD date") from None
 
 
 def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
@@ -370,7 +353,7 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
         return int(raw)
     except ValueError:
         pass
-    target = _dt.date.fromisoformat(raw)
+    target = _iso_date(raw, "review bound")
     if loaded.dates is None:
         raise ValidationError("series has no dates; use integer review bounds")
     if is_start:
@@ -397,16 +380,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         "config": config_dict(cfg),
         "review": {"first": lo, "last": hi},
         "sign": args.sign,
-        "peak_ci": assessment.peak_ci,
-        "peak_ci_t2": assessment.peak_ci_t2,
-        "peak_ci_date": assessment.peak_ci_date,
-        "threshold": assessment.threshold,
-        "crash_type": assessment.crash_type.value,
-        "peak_price": assessment.peak_price,
-        "peak_date": assessment.peak_date,
-        "valley_price": assessment.valley_price,
-        "valley_date": assessment.valley_date,
-        "crash_size": assessment.crash_size,
+        **dataclasses.asdict(assessment),
     }
     _write_output(_dump_json(payload), cfg.output)
     return EXIT_OK
@@ -416,21 +390,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for name in names:
         flag = "--" + name.replace("_", "-")
-        if name in _STR_FIELDS:
-            parser.add_argument(flag, dest=name, default=None)
-        elif name in _INT_FIELDS:
-            parser.add_argument(flag, dest=name, type=int, default=None)
-        else:
-            parser.add_argument(flag, dest=name, type=float, default=None)
-
-
-_SEARCH_FILTER_FIELDS = [
-    "m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor",
-    "population", "max_evaluations", "restarts",
-    "filter_m_min", "filter_m_max", "filter_omega_min", "filter_omega_max",
-    "filter_tc_extension", "oscillation_threshold", "oscillation_divisor",
-    "max_rel_error", "lomb_alpha", "ou_alpha",
-]
+        parser.add_argument(flag, dest=name, type=_FIELD_TYPES[name], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(handler=cmd_synth)
 
     p_fit = sub.add_parser("fit", help="calibrate and qualify one window")
-    _add_config_flags(p_fit, ["input", "stride", "seed", "output"] + _SEARCH_FILTER_FIELDS)
+    _add_config_flags(p_fit, ["input", "stride", "seed", "output"] + list(_LIBRARY_FIELDS))
     p_fit.add_argument("--t1", type=int, required=True)
     p_fit.add_argument("--t2", type=int, required=True)
     p_fit.set_defaults(handler=cmd_fit)
@@ -474,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_scan,
         ["input", "stride", "max_window", "min_window", "window_step",
          "t2_first", "t2_last", "t2_step", "output", "format", "workers"]
-        + _SEARCH_FILTER_FIELDS,
+        + list(_LIBRARY_FIELDS),
     )
     p_scan.add_argument("--seed", dest="seed", type=int, required=True,
                         help="base seed; required so scans are reproducible")

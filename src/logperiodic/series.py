@@ -8,25 +8,14 @@ metadata, and all downstream time arithmetic happens in step units.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["PricePoint", "PriceSeries", "ingest", "resample", "emit_csv"]
+__all__ = ["PriceSeries", "ingest", "resample", "emit_csv"]
 
 CSV_HEADER = "date,close"
-
-
-@dataclass(frozen=True)
-class PricePoint:
-    """One observation: trading-step index, optional date, price and log price."""
-
-    index: int
-    date: _dt.date | None
-    price: float
-    log_price: float
 
 
 class PriceSeries:
@@ -86,15 +75,6 @@ class PriceSeries:
     def stride(self) -> int:
         return self._stride
 
-    def point(self, i: int) -> PricePoint:
-        i = int(i)
-        date = self._dates[i] if self._dates is not None else None
-        return PricePoint(i, date, float(self._prices[i]), float(self._log_prices[i]))
-
-    @property
-    def points(self) -> tuple[PricePoint, ...]:
-        return tuple(self.point(i) for i in range(len(self)))
-
     def date_of(self, i: int) -> _dt.date | None:
         return self._dates[int(i)] if self._dates is not None else None
 
@@ -135,9 +115,11 @@ def ingest(csv_text: str) -> PriceSeries:
     One row per trading day, dates strictly increasing, prices positive.
     Rows are rejected rather than repaired; errors carry the offending
     line number (header is line 1). A trailing `index` column, as written
-    by emit_csv, is accepted and ignored, as are `#` comment lines.
+    by emit_csv, is accepted and ignored, as are `#` comment lines and a
+    leading UTF-8 byte-order mark.
     """
-    lines = [ln for ln in csv_text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    text = csv_text.removeprefix("\ufeff")
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValidationError("empty CSV input")
     header = [c.strip().lower() for c in lines[0].split(",")]

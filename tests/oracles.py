@@ -1,13 +1,19 @@
-"""Independent reference implementations used to cross-check the library.
+"""Reference implementations used to cross-check the library.
 
-These deliberately avoid the library's code paths: sums are accumulated
-with explicit Python loops and the math module, so agreement with the
-vectorized implementations is evidence, not tautology.
+All but one deliberately avoid the library's code paths: sums are
+accumulated with explicit Python loops and the math module, so agreement
+with the vectorized implementations is evidence, not tautology. The
+exception is grid_oracle, which reuses the library's profiled objective so
+that it applies exactly fit()'s admissibility rules; what it checks is the
+search, not the cost.
 """
 
 import math
 
 import numpy as np
+
+from logperiodic import FitFailedError, SearchConfig, ValidationError
+from logperiodic.calibrate import TC_GUARD, _objective, _result_at, _window_arrays
 
 
 def dense_normal_solve(t, y, tc, m, omega):
@@ -68,3 +74,34 @@ def lomb_power(x, r, freqs):
         ss = sum(si * si for si in sin_t)
         powers.append(0.5 * (rc * rc / cc + rs * rs / ss))
     return np.array(powers)
+
+
+def grid_oracle(series, window, grid_spec, cfg=SearchConfig()):
+    """Exhaustive profiled-cost evaluation on a regular (tc, m, omega) grid.
+
+    Slower than fit() but assumption-free about the search. Applies the
+    same admissibility rules as fit(); returns the grid minimizer.
+    """
+    n_tc, n_m, n_omega = (int(k) for k in grid_spec)
+    if n_tc < 1 or n_m < 1 or n_omega < 1:
+        raise ValidationError(f"empty grid spec {grid_spec}")
+    t, y = _window_arrays(series, window)
+    tc_lo, tc_hi = cfg.tc_bounds(window)
+    tcs = np.linspace(tc_lo + TC_GUARD, tc_hi, n_tc)
+    ms = np.linspace(cfg.m_min, cfg.m_max, n_m)
+    omegas = np.linspace(cfg.omega_min, cfg.omega_max, n_omega)
+    func = _objective(t, y, cfg)
+
+    best = (math.inf, None)
+    evals = 0
+    for tc in tcs:
+        for m in ms:
+            for omega in omegas:
+                value = func((tc, m, omega))
+                evals += 1
+                if value < best[0]:
+                    best = (value, (tc, m, omega))
+    if best[1] is None:
+        raise FitFailedError(f"no admissible grid point among {evals}")
+    tc, m, omega = best[1]
+    return _result_at(t, y, tc, m, omega, window.length, evals)

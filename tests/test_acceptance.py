@@ -24,7 +24,6 @@ from logperiodic import (
     crash_stats,
     fit,
     generate,
-    grid_oracle,
     linear_solve,
     ar1_test,
     lomb_test,
@@ -34,7 +33,7 @@ from logperiodic import (
     CrashType,
 )
 from conftest import bubble_params, rng_for
-from oracles import dense_normal_solve
+from oracles import dense_normal_solve, grid_oracle
 from test_classify import CRASHES_DAILY, TABLE_DAILY, TABLE_WEEKLY
 
 SP500_ENV = "LOGPERIODIC_SP500_CSV"

@@ -15,12 +15,11 @@ from logperiodic import (
     cost,
     fit,
     generate,
-    grid_oracle,
     linear_solve,
 )
 from logperiodic.calibrate import TC_GUARD
 from conftest import bubble_params, rng_for
-from oracles import dense_normal_solve, residual_sum_of_squares
+from oracles import dense_normal_solve, grid_oracle, residual_sum_of_squares
 
 
 def test_window_validation():

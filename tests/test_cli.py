@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from logperiodic import PriceSeries, SynthSpec, emit_csv, generate, ingest
-from logperiodic.cli import main, read_scan_csv
+from logperiodic.cli import RunConfig, config_dict, main, read_scan_csv
 from logperiodic.synth import trading_dates
 from conftest import bubble_params
 
 FAST = ["--max-evaluations", "1200", "--restarts", "3"]
+SMALL_SCAN = [
+    "--max-window", "120", "--min-window", "40", "--window-step", "20",
+    "--max-evaluations", "600", "--restarts", "2", "--t2-first", "419", "--t2-last", "419",
+]
+CLASSIFY = ["classify", "--input", "{csv}", "--scan-table", "{tmp}/scan.csv", "--review-last", "470"]
+SCAN_HEADER = "date,t2,positive_ci,negative_ci,pos_count,neg_count,total_windows\n"
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +232,76 @@ def test_workers_env_var(bubble_csv, tmp_path, monkeypatch, capsys):
     assert code == 0
     embedded = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
     assert embedded["workers"] == 1
+
+
+def test_config_surface_is_pinned():
+    """Flags and config-file keys are named after the library config fields.
+
+    Renaming a SearchConfig or FilterConfig field renames a flag and a
+    config key, so it must show up here.
+    """
+    assert config_dict(RunConfig(workers=1)) == {
+        "input": None, "stride": 1, "max_window": 650, "min_window": 30, "window_step": 5,
+        "threshold": 0.05, "t2_first": None, "t2_last": None, "t2_step": 1, "seed": 0,
+        "output": None, "format": None, "workers": 1,
+        "m_min": 0.0, "m_max": 1.0, "omega_min": 1.0, "omega_max": 50.0,
+        "tc_extension": 1.0 / 3.0, "damping_floor": 1.0,
+        "population": 7, "max_evaluations": 2000, "restarts": 5,
+        "filter_m_min": 0.01, "filter_m_max": 0.99, "filter_omega_min": 2.0,
+        "filter_omega_max": 25.0, "filter_tc_extension": 0.2,
+        "oscillation_threshold": 2.5, "oscillation_divisor": 2.0, "max_rel_error": 0.20,
+        "lomb_alpha": 0.05, "ou_alpha": 0.05,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, files, env, expected",
+    [
+        pytest.param(
+            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "# run\nseed = x\n"}, {}, "run.cfg line 2: seed", id="config-seed",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", *SMALL_SCAN],
+            {}, {"LOGPERIODIC_WORKERS": "abc"}, "LOGPERIODIC_WORKERS", id="workers-env",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "2001-13-01"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {}, "2001-13-01",
+            id="review-date",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,x,5\n"}, {}, "non-integer",
+            id="scan-non-integer",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.0,0.0,0,0,0\n"}, {}, "inconsistent",
+            id="scan-zero-total",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,-0.2,0.0,-1,0,5\n"}, {}, "inconsistent",
+            id="scan-negative-count",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.0,1.8,0,9,5\n"}, {}, "inconsistent",
+            id="scan-counts-exceed-total",
+        ),
+    ],
+)
+def test_malformed_input_is_one_line_validation_error(
+    argv, files, env, expected, bubble_csv, tmp_path, monkeypatch, capsys
+):
+    path, _ = bubble_csv
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main([arg.format(csv=path, tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err

@@ -13,11 +13,10 @@ def test_ingest_three_rows():
     s = ingest(CSV3)
     assert len(s) == 3
     assert s.stride == 1
-    assert [p.index for p in s.points] == [0, 1, 2]
     assert s.prices.tolist() == [100.0, 101.5, 99.25]
-    assert s.dates[0] == dt.date(2020, 3, 2)
-    for p in s.points:
-        assert p.log_price == pytest.approx(math.log(p.price), abs=1e-15)
+    assert s.dates == (dt.date(2020, 3, 2), dt.date(2020, 3, 3), dt.date(2020, 3, 4))
+    for price, log_price in zip(s.prices, s.log_prices):
+        assert log_price == pytest.approx(math.log(price), abs=1e-15)
 
 
 def test_ingest_rejects_zero_price_with_row():
@@ -65,6 +64,10 @@ def test_ingest_skips_comment_lines():
     assert len(s) == 3
 
 
+def test_ingest_accepts_leading_bom():
+    assert ingest("\ufeff" + CSV3) == ingest(CSV3)
+
+
 def test_resample_stride_one_is_identity():
     s = ingest(CSV3)
     assert resample(s, 1) is s
@@ -89,7 +92,7 @@ def test_resample_652_daily_by_21():
     # original indices 651, 630, ..., 0 reversed: the very first point survives
     assert monthly.prices[0] == s.prices[0]
     assert monthly.prices[-1] == s.prices[-1]
-    assert [p.index for p in monthly.points] == list(range(32))
+    assert monthly.prices.tolist() == s.prices[651::-21][::-1].tolist()
 
 
 @pytest.mark.parametrize("seed", range(8))
