@@ -16,7 +16,7 @@ import numpy as np
 
 from .cmaes import minimize_box
 from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError
-from .model import LpplsParams, damping
+from .model import LpplsParams
 from .series import PriceSeries
 
 __all__ = [
@@ -181,14 +181,14 @@ def _objective(t, y, cfg: SearchConfig):
     return func
 
 
-def _result_at(t, y, tc, m, omega, n_points, evaluations, converged=True) -> FitResult:
+def _result_at(t, y, tc, m, omega, n_points, evaluations) -> FitResult:
     beta, sse = _solve_linear(t, y, tc, m, omega)
     params = LpplsParams(
         tc=float(tc), m=float(m), omega=float(omega),
         A=float(beta[0]), B=float(beta[1]), C1=float(beta[2]), C2=float(beta[3]),
     )
     return FitResult(params=params, cost=sse, n_points=n_points,
-                     converged=converged, evaluations=evaluations)
+                     converged=True, evaluations=evaluations)
 
 
 def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig()) -> FitResult:

@@ -71,10 +71,7 @@ def peak_ci(
     candidates = sorted((p for p in points if lo <= p.t2 <= hi), key=lambda p: p.t2)
     if not candidates:
         raise ValidationError(f"no indicator points with t2 in [{lo}, {hi}]")
-    best = candidates[0]
-    for point in candidates[1:]:
-        if _ci_of(point, sign) > _ci_of(best, sign):
-            best = point
+    best = max(candidates, key=lambda p: _ci_of(p, sign))  # max keeps the first on ties
     return _ci_of(best, sign), best.t2
 
 

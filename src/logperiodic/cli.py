@@ -26,13 +26,7 @@ from . import synth as synth_mod
 from .classify import assess
 from .qualify import FilterConfig
 from .qualify import qualify as qualify_fit
-from .errors import (
-    DegenerateBasisError,
-    DomainError,
-    FitFailedError,
-    LogPeriodicError,
-    ValidationError,
-)
+from .errors import DomainError, FitFailedError, LogPeriodicError, ValidationError
 from .model import LpplsParams
 
 EXIT_OK = 0
@@ -89,10 +83,17 @@ class _RunFields:
         env = os.environ.get(WORKERS_ENV)
         if env:
             try:
-                return int(env)
+                workers = int(env)
             except ValueError:
                 raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+            return _check_workers(workers, WORKERS_ENV)
         return os.cpu_count() or 1
+
+
+def _check_workers(workers: int, source: str) -> int:
+    if workers < 1:
+        raise ValidationError(f"{source}: workers must be >= 1, got {workers}")
+    return workers
 
 
 _SEARCH_NAMES = {f.name for f in dataclasses.fields(calibrate.SearchConfig)}
@@ -133,7 +134,7 @@ _FIELD_TYPES = {name: _scalar_type(hint) for name, hint in typing.get_type_hints
 def load_config_file(path: str) -> dict:
     """Flat `key = value` file, # comments allowed; keys are RunConfig fields."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -151,6 +152,8 @@ def load_config_file(path: str) -> dict:
                 raise ValidationError(
                     f"{path} line {line_no}: {key} = {raw!r} is not a valid {field_type.__name__}"
                 ) from None
+            if key == "workers":
+                _check_workers(values[key], f"{path} line {line_no}")
     return values
 
 
@@ -163,6 +166,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
+    if getattr(args, "workers", None) is not None:
+        _check_workers(args.workers, "--workers")
     return cfg
 
 
@@ -221,16 +226,11 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 def cmd_resample(cfg: RunConfig, args) -> int:
     if cfg.stride < 2:
         raise ValidationError("resample needs --stride >= 2")
-    loaded = _read_series(cfg)  # applies the stride
-    _write_output(_csv_with_config(cfg, series_mod.emit_csv(loaded)), cfg.output)
-    return EXIT_OK
+    return cmd_ingest(cfg, args)  # reading the input applies the stride
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    params = LpplsParams(
-        tc=args.tc, m=args.m, omega=args.omega,
-        A=args.A, B=args.B, C1=args.C1, C2=args.C2,
-    )
+    params = LpplsParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(LpplsParams)})
     spec = synth_mod.SynthSpec(
         params=params,
         n=args.n,
@@ -263,7 +263,6 @@ def _fit_payload(cfg, window, result, report):
 def cmd_fit(cfg: RunConfig, args) -> int:
     loaded = _read_series(cfg)
     window = calibrate.Window(args.t1, args.t2)
-    window.check_within(loaded)
     result = calibrate.fit(loaded, window, cfg.search_config())
     report = qualify_fit(result, loaded, window, cfg.filter_config())
     _write_output(_dump_json(_fit_payload(cfg, window, result, report)), cfg.output)
@@ -318,8 +317,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
-    """Rebuild indicator points (exact counts) from a scan CSV."""
-    points = []
+    """Rebuild indicator points (exact counts) from a scan CSV; each t2 may appear once."""
+    points = {}
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError("empty indicator table")
@@ -332,12 +331,17 @@ def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
         row = dict(zip(SCAN_COLUMNS, cells))
         try:
             t2, pos, neg, total = (int(row[k]) for k in ("t2", "pos_count", "neg_count", "total_windows"))
+            ratios = float(row["positive_ci"]), float(row["negative_ci"])
         except ValueError:
-            raise ValidationError(f"non-integer cell in indicator row {line!r}") from None
+            raise ValidationError(f"non-integer count or non-numeric ratio in indicator row {line!r}") from None
         if total <= 0 or pos < 0 or neg < 0 or pos + neg > total:
             raise ValidationError(f"inconsistent counts in indicator row {line!r}")
-        points.append(indicator.IndicatorPoint(t2, total, pos, neg))
-    return points
+        if ratios != (pos / total, neg / total):  # the writer emits repr of each quotient
+            raise ValidationError(f"ratio cells disagree with counts in indicator row {line!r}")
+        if t2 in points:
+            raise ValidationError(f"repeated t2 in indicator row {line!r}")
+        points[t2] = indicator.IndicatorPoint(t2, total, pos, neg)
+    return list(points.values())
 
 
 def _iso_date(raw: str, what: str) -> _dt.date:
@@ -410,11 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic model-driven CSV")
     _add_config_flags(p_synth, ["seed", "output"])
-    p_synth.add_argument("--tc", type=float, required=True)
-    p_synth.add_argument("--m", type=float, required=True)
-    p_synth.add_argument("--omega", type=float, required=True)
-    p_synth.add_argument("--A", type=float, required=True)
-    p_synth.add_argument("--B", type=float, required=True)
+    for name in ("tc", "m", "omega", "A", "B"):
+        p_synth.add_argument("--" + name, type=float, required=True)
     p_synth.add_argument("--C1", type=float, default=0.0)
     p_synth.add_argument("--C2", type=float, default=0.0)
     p_synth.add_argument("--n", type=int, required=True)
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FitFailedError, DegenerateBasisError, LogPeriodicError) as exc:
+    except LogPeriodicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -11,6 +11,7 @@ Only data at indices <= t2 is touched, so the indicator is causal.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +66,7 @@ class WindowScheme:
 
 @dataclass(frozen=True)
 class WindowOutcome:
-    """Per-window diagnostic retained by confidence_at on request."""
+    """Per-window diagnostic; report is None only when the fit failed."""
 
     window: Window
     qualified: bool
@@ -119,7 +120,7 @@ def window_seed(base_seed: int, t2: int, length: int) -> int:
 
 
 def _window_task(args) -> WindowOutcome:
-    series, window, search_cfg, filter_cfg, keep = args
+    series, window, search_cfg, filter_cfg = args
     try:
         result = fit(series, window, search_cfg)
     except FitFailedError as exc:
@@ -130,27 +131,30 @@ def _window_task(args) -> WindowOutcome:
     report = qualify(result, series, window, filter_cfg)
     return WindowOutcome(
         window=window, qualified=report.qualified, sign=report.sign,
-        cost=result.cost, report=report if keep else None, error=None,
+        cost=result.cost, report=report, error=None,
     )
 
 
-def _run_tasks(tasks, workers):
+def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers,
+            keep_diagnostics=False) -> list[IndicatorPoint]:
+    """Fit and qualify every scheme window of every endpoint as one task list."""
+    tasks = [
+        (series, w, search_cfg.with_seed(window_seed(base_seed, t2, w.length)), filter_cfg)
+        for t2 in endpoints
+        for w in windows_for(t2, scheme)
+    ]
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_window_task, tasks))
-    return [_window_task(t) for t in tasks]
-
-
-def _point_from_outcomes(t2, outcomes, total, keep_diagnostics) -> IndicatorPoint:
-    pos = sum(1 for o in outcomes if o.qualified and o.sign is BubbleSign.POSITIVE)
-    neg = sum(1 for o in outcomes if o.qualified and o.sign is BubbleSign.NEGATIVE)
-    return IndicatorPoint(
-        t2=t2,
-        windows_total=total,
-        windows_qualified_pos=pos,
-        windows_qualified_neg=neg,
-        diagnostics=tuple(outcomes) if keep_diagnostics else None,
-    )
+            outcomes = list(pool.map(_window_task, tasks))  # pool.map keeps task order
+    else:
+        outcomes = [_window_task(t) for t in tasks]
+    points = []
+    for i, t2 in enumerate(endpoints):
+        own = tuple(outcomes[i * scheme.count : (i + 1) * scheme.count])
+        signs = Counter(o.sign for o in own if o.qualified)
+        points.append(IndicatorPoint(t2, scheme.count, signs[BubbleSign.POSITIVE],
+                                     signs[BubbleSign.NEGATIVE], own if keep_diagnostics else None))
+    return points
 
 
 def confidence_at(
@@ -172,12 +176,9 @@ def confidence_at(
     t2 = int(t2)
     if t2 >= len(series):
         raise ValidationError(f"endpoint {t2} outside series of length {len(series)}")
-    tasks = [
-        (series, w, search_cfg.with_seed(window_seed(base_seed, t2, w.length)), filter_cfg, keep_diagnostics)
-        for w in windows_for(t2, scheme)
-    ]
-    outcomes = _run_tasks(tasks, workers)
-    return _point_from_outcomes(t2, outcomes, scheme.count, keep_diagnostics)
+    (point,) = _points(series, [t2], scheme, search_cfg, filter_cfg, base_seed, workers,
+                       keep_diagnostics)
+    return point
 
 
 def scan(
@@ -210,25 +211,8 @@ def scan(
 
     endpoints = []
     for t2 in range(t2_first, t2_last + 1, t2_step):
-        if t2 - (scheme.max_len - 1) < 0:
+        if t2 < scheme.max_len - 1:
             log.warning("skipping endpoint %d: fewer than %d points of history", t2, scheme.max_len)
-            continue
-        endpoints.append(t2)
-
-    tasks = []
-    owners = []
-    for t2 in endpoints:
-        for w in windows_for(t2, scheme):
-            tasks.append(
-                (series, w, search_cfg.with_seed(window_seed(base_seed, t2, w.length)), filter_cfg, False)
-            )
-            owners.append(t2)
-    results = _run_tasks(tasks, workers)
-
-    by_endpoint: dict[int, list[WindowOutcome]] = {t2: [] for t2 in endpoints}
-    for t2, outcome in zip(owners, results):
-        by_endpoint[t2].append(outcome)
-    return [
-        _point_from_outcomes(t2, by_endpoint[t2], scheme.count, False)
-        for t2 in endpoints
-    ]
+        else:
+            endpoints.append(t2)
+    return _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers)

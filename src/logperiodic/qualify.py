@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import lombscargle
 
-from .calibrate import FitResult, Window
+from .calibrate import FitResult, Window, _window_arrays
 from .errors import DomainError, ValidationError
 from .model import LpplsParams, evaluate
 from .series import PriceSeries
@@ -118,8 +118,7 @@ def oscillation_count(params: LpplsParams, window: Window, divisor: float = 2.0)
 
 def max_relative_error(series: PriceSeries, window: Window, params: LpplsParams) -> float:
     """Worst |fitted price - price| / price over the window (prices, not logs)."""
-    window.check_within(series)
-    t = np.arange(window.t1, window.t2 + 1, dtype=float)
+    t, _ = _window_arrays(series, window)
     with np.errstate(over="ignore"):
         fitted = np.exp(evaluate(params, t))
     actual = series.prices[window.t1 : window.t2 + 1]
@@ -135,14 +134,12 @@ def detrended_residual(
     generated exactly from the model, r is the pure sinusoid
     C1*cos(omega*x) + C2*sin(omega*x).
     """
-    window.check_within(series)
+    t, y = _window_arrays(series, window)
     if params.tc <= window.t2:
         raise DomainError(f"tc={params.tc} must exceed window end {window.t2}")
-    t = np.arange(window.t1, window.t2 + 1, dtype=float)
     dt = params.tc - t
     x = np.log(dt)
     power = dt**params.m
-    y = series.log_prices[window.t1 : window.t2 + 1]
     r = (y - params.A - params.B * power) / power
     return x, r
 
@@ -256,9 +253,8 @@ def ou_test(
     series: PriceSeries, window: Window, params: LpplsParams, alpha: float = 0.05
 ) -> OuResult:
     """ar1_test applied to the log-price fit residuals of one window."""
-    window.check_within(series)
-    t = np.arange(window.t1, window.t2 + 1, dtype=float)
-    eps = evaluate(params, t) - series.log_prices[window.t1 : window.t2 + 1]
+    t, y = _window_arrays(series, window)
+    eps = evaluate(params, t) - y
     return ar1_test(eps, alpha)
 
 

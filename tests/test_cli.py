@@ -68,6 +68,11 @@ def test_resample_row_count_and_config_precedence(tmp_path, capsys):
     embedded = json.loads(out.splitlines()[0].removeprefix("# config: "))
     assert embedded["stride"] == 10
 
+    bom_cfg = tmp_path / "bom.cfg"
+    bom_cfg.write_bytes(b"\xef\xbb\xbfstride = 5\n")  # saved with a UTF-8 byte-order mark
+    assert main(["resample", "--input", str(src), "--config", str(bom_cfg)]) == 0
+    assert len(ingest(capsys.readouterr().out)) == 130
+
 
 def test_fit_reports_qualified_bubble(bubble_csv, tmp_path, capsys):
     path, _ = bubble_csv
@@ -289,6 +294,30 @@ def test_config_surface_is_pinned():
             CLASSIFY + ["--review-first", "410"],
             {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.0,1.8,0,9,5\n"}, {}, "inconsistent",
             id="scan-counts-exceed-total",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n2001-08-13,420,0.0,0.0,0,0,5\n"},
+            {}, "repeated t2 in indicator row '2001-08-13,420,0.0,0.0,0,0,5'", id="scan-repeated-t2",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.6,0.0,4,0,5\n"}, {},
+            "ratio cells disagree with counts in indicator row '2001-08-13,420,0.6,0.0,4,0,5'",
+            id="scan-ratio-disagrees",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", "--workers", "-3", *SMALL_SCAN],
+            {}, {}, "--workers: workers must be >= 1, got -3", id="workers-flag",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", "--config", "{tmp}/run.cfg", *SMALL_SCAN],
+            {"run.cfg": "workers = 0\n"}, {}, "run.cfg line 1: workers must be >= 1", id="workers-config",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", *SMALL_SCAN],
+            {}, {"LOGPERIODIC_WORKERS": "0"}, "LOGPERIODIC_WORKERS: workers must be >= 1",
+            id="workers-env-zero",
         ),
     ],
 )

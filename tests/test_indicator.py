@@ -124,6 +124,19 @@ def test_scan_skips_short_history(bubble_series, caplog):
     assert sum("skipping endpoint" in r.message for r in caplog.records) == 2
 
 
+def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):
+    # Endpoint 15 is skipped; 215 (no window qualifies) and 415 (three do)
+    # share one parallel task list, so a slice shifted by one window moves
+    # a qualified outcome from 415 into 215 and breaks the equality.
+    pts = scan(bubble_series, 15, 415, 200, SMALL_SCHEME, FAST_SEARCH, base_seed=42, workers=2)
+    expected = [
+        confidence_at(bubble_series, t2, SMALL_SCHEME, FAST_SEARCH, base_seed=42, workers=1)
+        for t2 in (215, 415)
+    ]
+    assert [p.windows_qualified_pos for p in expected] == [0, 3]
+    assert pts == expected
+
+
 def test_scan_rejects_bad_ranges(bubble_series):
     with pytest.raises(ValidationError):
         scan(bubble_series, 200, 100, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
