@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cmaes import minimize_box
+from .cmaes import minimize_population
 from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError
 from .model import LpplsParams
 from .series import PriceSeries
@@ -112,77 +112,112 @@ def _window_arrays(series: PriceSeries, window: Window) -> tuple[np.ndarray, np.
     return t, y
 
 
-def _basis(t: np.ndarray, tc: float, m: float, omega: float) -> np.ndarray:
-    """Design matrix [1, f, g, h] with f=(tc-t)^m, g=f*cos(w ln(tc-t)), h=f*sin."""
-    dt = tc - t
-    if dt[-1] <= 0.0:
+# Largest accepted condition estimate (eigenvalue ratio) of the 4x4 normal matrix.
+_COND_CAP = 1e12
+_EYE4 = np.eye(4)
+
+
+def _profile(t: np.ndarray, y: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profiled least squares for a batch of (tc, m, omega) rows.
+
+    `points` is a (k, 3) array. For each row the design matrix is
+    [1, f, g, h] with f=(tc-t)^m, g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)),
+    and the result is (beta, sse, ok): the (k, 4) least-squares
+    (A, B, C1, C2) from the normal system, the (k,) residual sums of
+    squares, and the (k,) admissible mask. A row is admissible when tc
+    exceeds the window end, its normal matrix is finite, and the matrix's
+    condition estimate is at most _COND_CAP. Rejected rows have sse = +inf
+    and an undefined beta; they never change the other rows.
+    """
+    tc, m, omega = np.asarray(points, dtype=float).T
+    # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
+    # powers); the mask rejects them, so their warnings are noise.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dt = tc[:, None] - t
+        ldt = np.log(dt)
+        x = np.empty((tc.size, 4, t.size))
+        x[:, 0] = 1.0
+        x[:, 1] = np.exp(m[:, None] * ldt)
+        # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
+        # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
+        # the rounding stays at machine epsilon, and one tan costs less than
+        # a cos plus a sin.
+        u = np.tan(0.5 * omega[:, None] * ldt)
+        u2 = u * u
+        scale = x[:, 1] / (1.0 + u2)
+        np.multiply(1.0 - u2, scale, out=x[:, 2])
+        np.multiply(2.0 * u, scale, out=x[:, 3])
+        gram = x @ x.transpose(0, 2, 1)
+        ok = (dt[:, -1] > 0.0) & np.isfinite(gram).all(axis=(1, 2))
+        # Rejected rows are swapped for the identity, so eigvalsh and solve
+        # never see inf/nan or a singular matrix from a neighbour.
+        gram = np.where(ok[:, None, None], gram, _EYE4)
+        eig = np.linalg.eigvalsh(gram)
+        ok &= (eig[:, -1] > 0.0) & (eig[:, 0] > eig[:, -1] / _COND_CAP)
+        gram = np.where(ok[:, None, None], gram, _EYE4)
+        beta = np.linalg.solve(gram, (x @ y)[..., None])[..., 0]
+        resid = y - (beta[:, None, :] @ x)[:, 0]
+        sse = np.einsum("kn,kn->k", resid, resid)
+    return beta, np.where(ok, sse, np.inf), ok
+
+
+def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
+    """(beta, sse) of one (tc, m, omega); raises instead of masking."""
+    if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    ldt = np.log(dt)
-    x = np.empty((t.size, 4))
-    x[:, 0] = 1.0
-    f = np.exp(m * ldt)
-    angle = omega * ldt
-    x[:, 1] = f
-    x[:, 2] = f * np.cos(angle)
-    x[:, 3] = f * np.sin(angle)
-    return x
-
-
-def _solve_linear(t, y, tc, m, omega, cond_cap=1e12):
-    """Least-squares (A, B, C1, C2) for fixed (tc, m, omega), plus residual SSE."""
-    x = _basis(t, tc, m, omega)
-    gram = x.T @ x
-    rhs = x.T @ y
-    eig = np.linalg.eigvalsh(gram)
-    if not np.all(np.isfinite(eig)) or eig[-1] <= 0.0 or eig[0] <= eig[-1] / cond_cap:
+    beta, sse, ok = _profile(t, y, [(tc, m, omega)])
+    if not ok[0]:
         raise DegenerateBasisError(
-            f"normal matrix condition above {cond_cap:g} at tc={tc}, m={m}, omega={omega}"
+            f"normal matrix not finite or condition above {_COND_CAP:g} "
+            f"at tc={tc}, m={m}, omega={omega}"
         )
-    beta = np.linalg.solve(gram, rhs)
-    resid = y - x @ beta
-    return beta, float(resid @ resid)
+    return beta[0], float(sse[0])
 
 
 def linear_solve(series: PriceSeries, window: Window, tc: float, m: float, omega: float):
     """Analytic minimizer (A, B, C1, C2) of the squared log-price residuals.
 
-    Raises DegenerateBasisError when the 4x4 normal system is numerically
-    singular (condition estimate above 1e12); callers in the nonlinear
-    search treat that as a rejected candidate.
+    Raises DomainError when tc does not exceed the window end, and
+    DegenerateBasisError when the 4x4 normal system is not finite or
+    numerically singular (condition estimate above 1e12); callers in the
+    nonlinear search treat both as a rejected candidate.
     """
     t, y = _window_arrays(series, window)
-    beta, _ = _solve_linear(t, y, tc, m, omega)
+    beta, _ = _profile_one(t, y, tc, m, omega)
     return float(beta[0]), float(beta[1]), float(beta[2]), float(beta[3])
 
 
 def cost(series: PriceSeries, window: Window, tc: float, m: float, omega: float) -> float:
     """Profiled cost: residual SSE at the linear_solve minimizer."""
     t, y = _window_arrays(series, window)
-    _, sse = _solve_linear(t, y, tc, m, omega)
+    _, sse = _profile_one(t, y, tc, m, omega)
     return sse
 
 
 def _objective(t, y, cfg: SearchConfig):
-    """Profiled cost over (tc, m, omega) with hard admissibility rejections."""
+    """Profiled cost of a (k, 3) population, +inf for inadmissible rows.
+
+    Besides the kernel's rejections, a row whose damping ratio
+    m|B| / (omega sqrt(C1^2 + C2^2)) falls below the floor is rejected.
+    """
     floor = cfg.damping_floor
 
-    def func(point):
-        tc, m, omega = point
-        try:
-            beta, sse = _solve_linear(t, y, tc, m, omega)
-        except (DegenerateBasisError, DomainError):
-            return math.inf
+    def func(points):
+        beta, sse, _ = _profile(t, y, points)
         if floor > 0.0:
-            c = math.hypot(beta[2], beta[3])
-            if c > 0.0 and m * abs(beta[1]) / (omega * c) < floor:
-                return math.inf
+            m, omega = points[:, 1], points[:, 2]
+            # the undefined beta of rejected rows may overflow; their sse is inf
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                c = np.hypot(beta[:, 2], beta[:, 3])
+                damped = (c > 0.0) & (m * np.abs(beta[:, 1]) / (omega * c) < floor)
+            sse = np.where(damped, np.inf, sse)
         return sse
 
     return func
 
 
 def _result_at(t, y, tc, m, omega, n_points, evaluations) -> FitResult:
-    beta, sse = _solve_linear(t, y, tc, m, omega)
+    beta, sse = _profile_one(t, y, tc, m, omega)
     params = LpplsParams(
         tc=float(tc), m=float(m), omega=float(omega),
         A=float(beta[0]), B=float(beta[1]), C1=float(beta[2]), C2=float(beta[3]),
@@ -206,7 +241,7 @@ def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig())
         raise ValidationError("tc search interval collapsed; window too short for guard")
 
     rng = np.random.default_rng(cfg.seed)
-    result = minimize_box(
+    result = minimize_population(
         _objective(t, y, cfg),
         lower,
         upper,

@@ -172,10 +172,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def config_dict(cfg: RunConfig) -> dict:
+    """The recorded config; `workers` is as given, since only scan resolves it."""
     out = dataclasses.asdict(cfg)
     out["threshold"] = cfg.resolved_threshold()
     out["seed"] = cfg.seed if cfg.seed is not None else 0
-    out["workers"] = cfg.resolved_workers()
     return out
 
 
@@ -286,6 +286,7 @@ def _scan_csv(loaded, points) -> str:
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
+    cfg.workers = cfg.resolved_workers()
     loaded = _read_series(cfg)
     scheme = cfg.scheme()
     first = cfg.t2_first if cfg.t2_first is not None else scheme.max_len - 1
@@ -299,7 +300,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         search_cfg=cfg.search_config(),
         filter_cfg=cfg.filter_config(),
         base_seed=cfg.seed,
-        workers=cfg.resolved_workers(),
+        workers=cfg.workers,
     )
     if not points:
         raise FitFailedError(

@@ -7,6 +7,17 @@ clipped onto the box before evaluation and the pre-clip violation adds
 a quadratic penalty to the selection fitness, so the reported optimum
 is always feasible and evaluated at its true objective value.
 
+The objective is called once per generation with the whole population
+as a (lambda, n) array. A run ends when its evaluation budget is spent,
+when its step size diverges, or on one of the two termination criteria of
+Hansen, "The CMA Evolution Strategy: A Tutorial" (arXiv:1604.00772):
+
+- TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
+  and all values of the current generation span less than _TOL_FUN. Only a
+  generation whose values are all finite can trip it.
+- TolX: sigma * |p_c| and sigma * sqrt(diag(C)) are below _TOL_X times the
+  initial step size in every coordinate.
+
 Everything is driven by a caller-supplied numpy Generator: identical
 generators give bit-identical runs.
 """
@@ -14,19 +25,21 @@ generators give bit-identical runs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CmaResult", "minimize_box"]
+__all__ = ["CmaResult", "minimize_box", "minimize_population"]
 
 # Penalty weight on squared normalized box violation; only has to dominate
 # the objective's local variation near the boundary, not its global scale.
 _PENALTY = 1e4
 
-# Stop a run once the sampling ellipsoid collapses below this size
-# (normalized coordinates); further evaluations cannot move the optimum.
-_SIGMA_FLOOR = 1e-13
+# Hansen's default TolFun (absolute, in objective units) and TolX (relative
+# to the initial step size, in normalized coordinates).
+_TOL_FUN = 1e-12
+_TOL_X = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,10 @@ class CmaResult:
 
 
 def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
-    """One CMA-ES run in normalized coordinates; returns (x_best, f_best, evals)."""
+    """One CMA-ES run in normalized coordinates; returns (x_best, f_best, evals).
+
+    func maps a (k, n) array of points to k objective values.
+    """
     n = lower.size
     width = upper - lower
 
@@ -62,8 +78,11 @@ def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
     eigvals = np.ones(n)
     eigvecs = np.eye(n)
 
+    recent_best = deque(maxlen=10 + math.ceil(30 * n / lam))
+    tol_x = _TOL_X * sigma0
+
     best_x = np.clip(mean, 0.0, 1.0)
-    best_f = func(lower + best_x * width)
+    best_f = float(func((lower + best_x * width)[None, :])[0])
     evals = 1
 
     while evals + lam <= max_evals:
@@ -74,14 +93,15 @@ def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
         x_clip = np.clip(x, 0.0, 1.0)
         violation = np.sum((x - x_clip) ** 2, axis=1)
 
-        fitness = np.empty(lam)
-        for k in range(lam):
-            f_raw = func(lower + x_clip[k] * width)
-            evals += 1
-            if f_raw < best_f:
-                best_f = f_raw
-                best_x = x_clip[k].copy()
-            fitness[k] = f_raw + _PENALTY * violation[k] if math.isfinite(f_raw) else f_raw
+        f_raw = func(lower + x_clip * width)
+        evals += lam
+        # the first row holding the generation's least value below best_f
+        k = int(np.argmin(np.where(f_raw < best_f, f_raw, np.inf)))
+        if f_raw[k] < best_f:
+            best_f = float(f_raw[k])
+            best_x = x_clip[k].copy()
+        finite = np.isfinite(f_raw)
+        fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
 
         order = np.argsort(fitness, kind="stable")
         y_sel = y[order[:mu]]
@@ -109,7 +129,13 @@ def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-30)
 
-        if sigma * math.sqrt(eigvals[-1]) < _SIGMA_FLOOR:
+        # TolFun looks at the ranked values, box penalty included
+        recent_best.append(fitness[order[0]])
+        if len(recent_best) == recent_best.maxlen and finite.all():
+            values = np.concatenate((fitness, recent_best))
+            if values.max() - values.min() < _TOL_FUN:
+                break
+        if (sigma * np.abs(p_c) < tol_x).all() and (sigma * np.sqrt(np.diag(cov)) < tol_x).all():
             break
         if not math.isfinite(sigma) or sigma > 1e6:
             break
@@ -117,13 +143,14 @@ def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
     return best_x, best_f, evals
 
 
-def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
+def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
     """Minimize func over the box [lower, upper] with restarted CMA-ES.
 
-    The first run starts at the box center with step size 1/4 of each box
-    width; subsequent runs restart from uniform random points. Each run
-    gets max_evals objective evaluations. func may return +inf to reject
-    a candidate outright.
+    func takes a (k, n) array of points and returns their k objective
+    values; +inf rejects a point outright. The first run starts at the box
+    center with step size 1/4 of each box width; subsequent runs restart
+    from uniform random points. Each run gets at most max_evals objective
+    evaluations and stops early on TolFun or TolX.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -140,3 +167,9 @@ def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaRe
             best_x = x_norm
     x = lower + best_x * (upper - lower)
     return CmaResult(x=x, cost=best_f, evaluations=total_evals)
+
+
+def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
+    """minimize_population for a func that takes one point and returns a float."""
+    return minimize_population(lambda xs: np.array([func(x) for x in xs], dtype=float),
+                               lower, upper, popsize, max_evals, restarts, rng)

@@ -80,7 +80,9 @@ def grid_oracle(series, window, grid_spec, cfg=SearchConfig()):
     """Exhaustive profiled-cost evaluation on a regular (tc, m, omega) grid.
 
     Slower than fit() but assumption-free about the search. Applies the
-    same admissibility rules as fit(); returns the grid minimizer.
+    same admissibility rules as fit() by evaluating the library's
+    population objective, one batched call per tc slice of the grid;
+    returns the grid minimizer (the first one met in (tc, m, omega) order).
     """
     n_tc, n_m, n_omega = (int(k) for k in grid_spec)
     if n_tc < 1 or n_m < 1 or n_omega < 1:
@@ -91,16 +93,17 @@ def grid_oracle(series, window, grid_spec, cfg=SearchConfig()):
     ms = np.linspace(cfg.m_min, cfg.m_max, n_m)
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, n_omega)
     func = _objective(t, y, cfg)
+    mm, ww = (a.ravel() for a in np.meshgrid(ms, omegas, indexing="ij"))
 
     best = (math.inf, None)
     evals = 0
     for tc in tcs:
-        for m in ms:
-            for omega in omegas:
-                value = func((tc, m, omega))
-                evals += 1
-                if value < best[0]:
-                    best = (value, (tc, m, omega))
+        points = np.column_stack((np.full(mm.size, tc), mm, ww))
+        values = func(points)
+        evals += len(points)
+        k = int(np.argmin(values))
+        if values[k] < best[0]:
+            best = (values[k], tuple(points[k]))
     if best[1] is None:
         raise FitFailedError(f"no admissible grid point among {evals}")
     tc, m, omega = best[1]

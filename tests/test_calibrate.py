@@ -86,6 +86,14 @@ def test_linear_solve_degenerate_basis():
         linear_solve(s, Window(0, 59), 70.0, 1e-12, 8.0)
 
 
+def test_overflowing_basis_is_degenerate(exact_bubble):
+    # 310 - t reaches 310, and 310^150 overflows: the normal matrix is not finite
+    _, s = exact_bubble
+    for solve in (cost, linear_solve):
+        with pytest.raises(DegenerateBasisError):
+            solve(s, Window(0, 199), 310.0, 150.0, 8.0)
+
+
 def test_cost_zero_at_truth_positive_elsewhere(exact_bubble):
     truth, s = exact_bubble
     w = Window(0, 199)

@@ -239,6 +239,28 @@ def test_workers_env_var(bubble_csv, tmp_path, monkeypatch, capsys):
     assert embedded["workers"] == 1
 
 
+def test_fit_with_overflowing_m_box_ends_in_a_fit(bubble_csv, capsys):
+    path, _ = bubble_csv
+    code = main([
+        "fit", "--input", str(path), "--t1", "120", "--t2", "419", "--m-max", "150",
+        "--max-evaluations", "600", "--restarts", "1", "--seed", "0",
+    ])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"]["m"] <= 150.0
+
+
+def test_only_scan_resolves_workers(bubble_csv, monkeypatch, capsys):
+    path, _ = bubble_csv
+    outputs = []
+    for workers in ("1", "2", "0"):
+        monkeypatch.setenv("LOGPERIODIC_WORKERS", workers)
+        assert main(["ingest", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0].splitlines()[0].removeprefix("# config: "))["workers"] is None
+
+
 def test_config_surface_is_pinned():
     """Flags and config-file keys are named after the library config fields.
 
