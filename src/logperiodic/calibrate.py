@@ -117,7 +117,16 @@ _COND_CAP = 1e12
 _EYE4 = np.eye(4)
 
 
-def _profile(t: np.ndarray, y: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work arrays of _profile for up to `rows` rows of n points.
+
+    They are the (rows, 4, n) design matrices and four (rows, n) temporaries.
+    """
+    return np.empty((rows, 4, n)), np.empty((4, rows, n))
+
+
+def _profile(t: np.ndarray, y: np.ndarray, points,
+             scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profiled least squares for a batch of (tc, m, omega) rows.
 
     `points` is a (k, 3) array. For each row the design matrix is
@@ -128,27 +137,40 @@ def _profile(t: np.ndarray, y: np.ndarray, points) -> tuple[np.ndarray, np.ndarr
     exceeds the window end, its normal matrix is finite, and the matrix's
     condition estimate is at most _COND_CAP. Rejected rows have sse = +inf
     and an undefined beta; they never change the other rows.
+
+    The large intermediates are written into `scratch`, a _scratch of at
+    least k rows for this window, or into fresh arrays when it is None.
+    Every row read is written first, so the result does not depend on what
+    the scratch held.
     """
     tc, m, omega = np.asarray(points, dtype=float).T
+    k = tc.size
+    if scratch is None:
+        scratch = _scratch(k, t.size)
+    x = scratch[0][:k]
+    ldt, u, scale, fit = scratch[1][:, :k]
     # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
     # powers); the mask rejects them, so their warnings are noise.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dt = tc[:, None] - t
-        ldt = np.log(dt)
-        x = np.empty((tc.size, 4, t.size))
+        np.subtract(tc[:, None], t, out=ldt)
+        ok = ldt[:, -1] > 0.0
+        np.log(ldt, out=ldt)
         x[:, 0] = 1.0
-        x[:, 1] = np.exp(m[:, None] * ldt)
+        np.multiply(m[:, None], ldt, out=x[:, 1])
+        np.exp(x[:, 1], out=x[:, 1])
         # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
         # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
         # the rounding stays at machine epsilon, and one tan costs less than
         # a cos plus a sin.
-        u = np.tan(0.5 * omega[:, None] * ldt)
-        u2 = u * u
-        scale = x[:, 1] / (1.0 + u2)
-        np.multiply(1.0 - u2, scale, out=x[:, 2])
-        np.multiply(2.0 * u, scale, out=x[:, 3])
+        np.multiply(0.5 * omega[:, None], ldt, out=u)
+        np.tan(u, out=u)
+        u2 = np.multiply(u, u, out=ldt)
+        np.add(u2, 1.0, out=scale)
+        np.divide(x[:, 1], scale, out=scale)
+        np.multiply(np.subtract(1.0, u2, out=u2), scale, out=x[:, 2])
+        np.multiply(np.multiply(u, 2.0, out=u), scale, out=x[:, 3])
         gram = x @ x.transpose(0, 2, 1)
-        ok = (dt[:, -1] > 0.0) & np.isfinite(gram).all(axis=(1, 2))
+        ok &= np.isfinite(gram).all(axis=(1, 2))
         # Rejected rows are swapped for the identity, so eigvalsh and solve
         # never see inf/nan or a singular matrix from a neighbour.
         gram = np.where(ok[:, None, None], gram, _EYE4)
@@ -156,7 +178,8 @@ def _profile(t: np.ndarray, y: np.ndarray, points) -> tuple[np.ndarray, np.ndarr
         ok &= (eig[:, -1] > 0.0) & (eig[:, 0] > eig[:, -1] / _COND_CAP)
         gram = np.where(ok[:, None, None], gram, _EYE4)
         beta = np.linalg.solve(gram, (x @ y)[..., None])[..., 0]
-        resid = y - (beta[:, None, :] @ x)[:, 0]
+        np.matmul(beta[:, None, :], x, out=fit[:, None, :])
+        resid = np.subtract(y, fit, out=fit)
         sse = np.einsum("kn,kn->k", resid, resid)
     return beta, np.where(ok, sse, np.inf), ok
 
@@ -201,9 +224,13 @@ def _objective(t, y, cfg: SearchConfig):
     m|B| / (omega sqrt(C1^2 + C2^2)) falls below the floor is rejected.
     """
     floor = cfg.damping_floor
+    scratch = None  # kernel work arrays, kept at the largest batch seen
 
     def func(points):
-        beta, sse, _ = _profile(t, y, points)
+        nonlocal scratch
+        if scratch is None or len(scratch[0]) < len(points):
+            scratch = _scratch(len(points), t.size)
+        beta, sse, _ = _profile(t, y, points, scratch)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

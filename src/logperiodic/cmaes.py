@@ -7,10 +7,11 @@ clipped onto the box before evaluation and the pre-clip violation adds
 a quadratic penalty to the selection fitness, so the reported optimum
 is always feasible and evaluated at its true objective value.
 
-The objective is called once per generation with the whole population
-as a (lambda, n) array. A run ends when its evaluation budget is spent,
-when its step size diverges, or on one of the two termination criteria of
-Hansen, "The CMA Evolution Strategy: A Tutorial" (arXiv:1604.00772):
+The restarts of a search run in lockstep, and the objective is called
+once per generation with the populations of all running restarts as one
+(k, n) array. A run ends when its evaluation budget is spent, when its
+step size diverges, or on one of the two termination criteria of Hansen,
+"The CMA Evolution Strategy: A Tutorial" (arXiv:1604.00772):
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
@@ -25,7 +26,6 @@ generators give bit-identical runs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +49,26 @@ class CmaResult:
     evaluations: int
 
 
-def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
-    """One CMA-ES run in normalized coordinates; returns (x_best, f_best, evals).
+def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
+    """Minimize func over the box [lower, upper] with restarted CMA-ES.
 
-    func maps a (k, n) array of points to k objective values.
+    func takes a (k, n) array of points and returns their k objective
+    values; +inf rejects a point outright. All `restarts` runs advance in
+    lockstep: each generation is one func call holding the populations of
+    every run still going. Run 0 starts at the box center and draws its
+    samples from rng; run r > 0 starts at a uniform random point and draws
+    everything from the r-th child of rng.spawn(restarts - 1), so a run's
+    trajectory depends neither on `restarts` nor on when the others stop.
+    Every run starts with step size 1/4 of each box width, gets at most
+    max_evals objective evaluations and stops early on TolFun, TolX or a
+    diverging step size; a stopped run leaves the batch.
     """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     n = lower.size
     width = upper - lower
+    runs = max(1, restarts)
+    rngs = [rng, *rng.spawn(runs - 1)]
 
     lam = popsize
     mu = lam // 2
@@ -69,104 +82,99 @@ def _run(func, lower, upper, x0_norm, sigma0, popsize, max_evals, rng):
     c1 = 2.0 / ((n + 1.3) ** 2 + mueff)
     cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
-
-    mean = x0_norm.copy()
-    sigma = sigma0
-    cov = np.eye(n)
-    p_sigma = np.zeros(n)
-    p_c = np.zeros(n)
-    eigvals = np.ones(n)
-    eigvecs = np.eye(n)
-
-    recent_best = deque(maxlen=10 + math.ceil(30 * n / lam))
+    sigma0 = 0.25
     tol_x = _TOL_X * sigma0
 
+    # Per-run state along a leading run axis; `ids` names the runs still going.
+    mean = np.array([np.full(n, 0.5)] + [r.uniform(0.0, 1.0, n) for r in rngs[1:]])
+    sigma = np.full(runs, sigma0)
+    cov = np.tile(np.eye(n), (runs, 1, 1))
+    p_sigma = np.zeros((runs, n))
+    p_c = np.zeros((runs, n))
+    eigvals = np.ones((runs, n))
+    eigvecs = cov.copy()
+    # best ranked value of each of the last 10 + ceil(30 n / lambda) generations
+    recent_best = np.empty((runs, 10 + math.ceil(30 * n / lam)))
+    ids = np.arange(runs)
+
     best_x = np.clip(mean, 0.0, 1.0)
-    best_f = float(func((lower + best_x * width)[None, :])[0])
-    evals = 1
+    best_f = np.array(func(lower + best_x * width), dtype=float)
+    used = np.ones(runs, dtype=int)
+    evals = 1  # per running run: they all started together
+    gen = 0
 
-    while evals + lam <= max_evals:
+    while ids.size and evals + lam <= max_evals:
         sqrt_d = np.sqrt(eigvals)
-        z = rng.standard_normal((lam, n))
-        y = z @ (eigvecs * sqrt_d).T          # y_k ~ N(0, C)
-        x = mean + sigma * y
+        z = np.stack([rngs[i].standard_normal((lam, n)) for i in ids])
+        y = z @ (eigvecs * sqrt_d[:, None, :]).transpose(0, 2, 1)  # y_k ~ N(0, C)
+        x = mean[:, None, :] + sigma[:, None, None] * y
         x_clip = np.clip(x, 0.0, 1.0)
-        violation = np.sum((x - x_clip) ** 2, axis=1)
+        violation = np.sum((x - x_clip) ** 2, axis=2)
 
-        f_raw = func(lower + x_clip * width)
+        f_raw = func((lower + x_clip * width).reshape(-1, n)).reshape(ids.size, lam)
         evals += lam
-        # the first row holding the generation's least value below best_f
-        k = int(np.argmin(np.where(f_raw < best_f, f_raw, np.inf)))
-        if f_raw[k] < best_f:
-            best_f = float(f_raw[k])
-            best_x = x_clip[k].copy()
+        gen += 1
+        # the first row holding each run's least value below its best_f
+        k = np.argmin(np.where(f_raw < best_f[ids, None], f_raw, np.inf), axis=1)
+        rows = np.arange(ids.size)
+        better = f_raw[rows, k] < best_f[ids]
+        best_f[ids[better]] = f_raw[rows, k][better]
+        best_x[ids[better]] = x_clip[rows, k][better]
         finite = np.isfinite(f_raw)
         fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
 
-        order = np.argsort(fitness, kind="stable")
-        y_sel = y[order[:mu]]
+        order = np.argsort(fitness, axis=1, kind="stable")
+        y_sel = np.take_along_axis(y, order[:, :mu, None], axis=1)
         y_w = weights @ y_sel
-        mean = mean + sigma * y_w
+        mean = mean + sigma[:, None] * y_w
 
         # step-size control
-        c_invsqrt_y = (eigvecs / sqrt_d) @ (eigvecs.T @ y_w)
+        c_invsqrt_y = (eigvecs / sqrt_d[:, None, :]) @ (eigvecs.transpose(0, 2, 1) @ y_w[:, :, None])
+        c_invsqrt_y = c_invsqrt_y[:, :, 0]
         p_sigma = (1.0 - csigma) * p_sigma + math.sqrt(csigma * (2.0 - csigma) * mueff) * c_invsqrt_y
-        ps_norm = np.linalg.norm(p_sigma)
-        sigma *= math.exp((csigma / dsigma) * (ps_norm / chi_n - 1.0))
+        ps_norm = np.sqrt((p_sigma[:, None, :] @ p_sigma[:, :, None])[:, 0, 0])
+        # libm's exp, as a single run has always used: numpy's SIMD exp can
+        # differ in the last bit, and that would move every fit
+        sigma = sigma * np.array([math.exp(v) for v in (csigma / dsigma) * (ps_norm / chi_n - 1.0)])
 
         # covariance adaptation (rank-1 + rank-mu)
         gens_scale = math.sqrt(1.0 - (1.0 - csigma) ** (2.0 * evals / lam))
-        hsig = 1.0 if ps_norm / gens_scale < (1.4 + 2.0 / (n + 1.0)) * chi_n else 0.0
-        p_c = (1.0 - cc) * p_c + hsig * math.sqrt(cc * (2.0 - cc) * mueff) * y_w
-        rank_mu = (y_sel * weights[:, None]).T @ y_sel
+        hsig = np.where(ps_norm / gens_scale < (1.4 + 2.0 / (n + 1.0)) * chi_n, 1.0, 0.0)
+        p_c = (1.0 - cc) * p_c + (hsig * math.sqrt(cc * (2.0 - cc) * mueff))[:, None] * y_w
+        rank_mu = (y_sel * weights[:, None]).transpose(0, 2, 1) @ y_sel
         cov = (
             (1.0 - c1 - cmu) * cov
-            + c1 * (np.outer(p_c, p_c) + (1.0 - hsig) * cc * (2.0 - cc) * cov)
+            + c1 * (p_c[:, :, None] * p_c[:, None, :]
+                    + ((1.0 - hsig) * cc * (2.0 - cc))[:, None, None] * cov)
             + cmu * rank_mu
         )
-        cov = (cov + cov.T) / 2.0
+        cov = (cov + cov.transpose(0, 2, 1)) / 2.0
 
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-30)
 
-        # TolFun looks at the ranked values, box penalty included
-        recent_best.append(fitness[order[0]])
-        if len(recent_best) == recent_best.maxlen and finite.all():
-            values = np.concatenate((fitness, recent_best))
-            if values.max() - values.min() < _TOL_FUN:
-                break
-        if (sigma * np.abs(p_c) < tol_x).all() and (sigma * np.sqrt(np.diag(cov)) < tol_x).all():
-            break
-        if not math.isfinite(sigma) or sigma > 1e6:
-            break
+        # TolFun looks at the ranked values, box penalty included, and only
+        # at runs whose generation is all finite: inf - inf would be nan
+        recent_best[ids, (gen - 1) % recent_best.shape[1]] = fitness[rows, order[:, 0]]
+        stop = np.zeros(ids.size, dtype=bool)
+        if gen >= recent_best.shape[1]:
+            check = finite.all(axis=1)
+            values = np.concatenate((fitness[check], recent_best[ids[check]]), axis=1)
+            stop[check] = values.max(axis=1) - values.min(axis=1) < _TOL_FUN
+        stop |= ((sigma[:, None] * np.abs(p_c) < tol_x).all(axis=1)
+                 & (sigma[:, None] * np.sqrt(np.diagonal(cov, axis1=1, axis2=2)) < tol_x).all(axis=1))
+        stop |= ~np.isfinite(sigma) | (sigma > 1e6)
+        if stop.any():
+            used[ids[stop]] = evals
+            keep = ~stop
+            ids = ids[keep]
+            mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs = (
+                a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs))
 
-    return best_x, best_f, evals
-
-
-def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
-    """Minimize func over the box [lower, upper] with restarted CMA-ES.
-
-    func takes a (k, n) array of points and returns their k objective
-    values; +inf rejects a point outright. The first run starts at the box
-    center with step size 1/4 of each box width; subsequent runs restart
-    from uniform random points. Each run gets at most max_evals objective
-    evaluations and stops early on TolFun or TolX.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.size
-    best_x = None
-    best_f = math.inf
-    total_evals = 0
-    for run in range(max(1, restarts)):
-        x0 = np.full(n, 0.5) if run == 0 else rng.uniform(0.0, 1.0, n)
-        x_norm, f, used = _run(func, lower, upper, x0, 0.25, popsize, max_evals, rng)
-        total_evals += used
-        if best_x is None or f < best_f:
-            best_f = f
-            best_x = x_norm
-    x = lower + best_x * (upper - lower)
-    return CmaResult(x=x, cost=best_f, evaluations=total_evals)
+    used[ids] = evals
+    best = int(np.argmin(best_f))
+    return CmaResult(x=lower + best_x[best] * width, cost=float(best_f[best]),
+                     evaluations=int(used.sum()))
 
 
 def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:

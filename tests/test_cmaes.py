@@ -44,3 +44,36 @@ def test_all_inf_objective_spends_the_whole_budget():
                               max_evals=300, restarts=2, rng=np.random.default_rng(0))
     assert res.cost == math.inf
     assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
+
+
+def test_restart_streams_nest():
+    # run r draws from its own child stream, so adding runs only adds trajectories
+    runs = [minimize_population(_population, *BOX, popsize=7, max_evals=2000, restarts=r,
+                                rng=np.random.default_rng(11))
+            for r in range(1, 6)]
+    costs = [r.cost for r in runs]
+    evals = [r.evaluations for r in runs]
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
+    assert all(b > a for a, b in zip(evals, evals[1:]))
+
+
+def test_one_call_per_generation_for_all_running_restarts():
+    lam, restarts = 7, 5
+    sizes = []
+
+    def recording(xs):
+        sizes.append(len(xs))
+        return _population(xs)
+
+    res = minimize_population(recording, *BOX, popsize=lam, max_evals=2000, restarts=restarts,
+                              rng=np.random.default_rng(11))
+    # per-run evaluations, from the nesting of the restart streams
+    totals = [0] + [minimize_population(_population, *BOX, popsize=lam, max_evals=2000, restarts=r,
+                                        rng=np.random.default_rng(11)).evaluations
+                    for r in range(1, restarts + 1)]
+    gens = [(b - a - 1) // lam for a, b in zip(totals, totals[1:])]
+    assert sizes[0] == restarts  # the start points
+    assert sizes[1:] == [lam * sum(g >= gen for g in gens) for gen in range(1, max(gens) + 1)]
+    assert max(sizes) <= restarts * lam
+    assert len(set(sizes[1:])) > 1  # the batch shrank as runs stopped
+    assert sum(sizes) == res.evaluations == totals[-1]
