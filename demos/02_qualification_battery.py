@@ -47,7 +47,7 @@ print(f"\nqualified: {report.qualified}   sign: {report.sign.value}")
 # The Lomb condition works on the detrended residual: after stripping the
 # power-law trend, genuine log-periodicity is a pure sinusoid in ln(tc-t).
 x, r = detrended_residual(series, window, p)
-peak = lomb_test((x, r), p.omega, 0.05)
+peak = lomb_test((x, r), 0.05)
 print(f"\ndetrended residual: {len(r)} points over x in [{x.min():.2f}, {x.max():.2f}]")
 print(f"periodogram peak power {peak.peak_power:.1f} at angular frequency {peak.peak_frequency:.2f}"
       f" (fitted omega {p.omega:.2f})")

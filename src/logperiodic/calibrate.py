@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cmaes import minimize_population
+from .cmaes import minimize_problems
 from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError
 from .model import LpplsParams
 from .series import PriceSeries
@@ -260,28 +260,45 @@ def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig())
     candidate was found (every sampled point degenerate or rejected by the
     damping floor); garbage is never returned silently.
     """
-    t, y = _window_arrays(series, window)
-    tc_lo, tc_hi = cfg.tc_bounds(window)
-    lower = np.array([tc_lo + TC_GUARD, cfg.m_min, cfg.omega_min])
-    upper = np.array([tc_hi, cfg.m_max, cfg.omega_max])
-    if upper[0] <= lower[0]:
-        raise ValidationError("tc search interval collapsed; window too short for guard")
+    (result,) = _fit_windows(series, [window], cfg, [cfg.seed])
+    if isinstance(result, FitFailedError):
+        raise result
+    return result
 
-    rng = np.random.default_rng(cfg.seed)
-    result = minimize_population(
-        _objective(t, y, cfg),
-        lower,
-        upper,
+
+def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list:
+    """fit() of each window under cfg with seed seeds[i], as one lockstep search.
+
+    Returns a FitResult or a FitFailedError per window, each equal to what
+    fit() gives for that window alone; a window the search cannot take
+    raises ValidationError for the whole call.
+    """
+    arrays, lowers, uppers = [], [], []
+    for window in windows:
+        arrays.append(_window_arrays(series, window))
+        tc_lo, tc_hi = cfg.tc_bounds(window)
+        if tc_hi <= tc_lo + TC_GUARD:
+            raise ValidationError("tc search interval collapsed; window too short for guard")
+        lowers.append([tc_lo + TC_GUARD, cfg.m_min, cfg.omega_min])
+        uppers.append([tc_hi, cfg.m_max, cfg.omega_max])
+
+    searches = minimize_problems(
+        [_objective(t, y, cfg) for t, y in arrays],
+        lowers,
+        uppers,
         popsize=cfg.population,
         max_evals=cfg.max_evaluations,
         restarts=cfg.restarts,
-        rng=rng,
+        rngs=[np.random.default_rng(seed) for seed in seeds],
     )
-    if not math.isfinite(result.cost):
-        raise FitFailedError(
-            f"no admissible fit in window [{window.t1}, {window.t2}] "
-            f"({result.evaluations} evaluations)"
-        )
-    tc, m, omega = result.x
-    return _result_at(t, y, tc, m, omega, window.length, result.evaluations)
-
+    results = []
+    for window, (t, y), found in zip(windows, arrays, searches):
+        if math.isfinite(found.cost):
+            tc, m, omega = found.x
+            results.append(_result_at(t, y, tc, m, omega, window.length, found.evaluations))
+        else:
+            results.append(FitFailedError(
+                f"no admissible fit in window [{window.t1}, {window.t2}] "
+                f"({found.evaluations} evaluations)"
+            ))
+    return results

@@ -7,11 +7,13 @@ clipped onto the box before evaluation and the pre-clip violation adds
 a quadratic penalty to the selection fitness, so the reported optimum
 is always feasible and evaluated at its true objective value.
 
-The restarts of a search run in lockstep, and the objective is called
-once per generation with the populations of all running restarts as one
-(k, n) array. A run ends when its evaluation budget is spent, when its
-step size diverges, or on one of the two termination criteria of Hansen,
-"The CMA Evolution Strategy: A Tutorial" (arXiv:1604.00772):
+The restarts of a search, and the searches of several problems of one
+dimension and budget, run in lockstep: each generation is one update over
+every running run and one call of each problem's objective with the
+populations of its running restarts as one (k, n) array. A run ends when
+its evaluation budget is spent, when its step size diverges, or on one of
+the two termination criteria of Hansen, "The CMA Evolution Strategy: A
+Tutorial" (arXiv:1604.00772):
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
@@ -19,8 +21,8 @@ step size diverges, or on one of the two termination criteria of Hansen,
 - TolX: sigma * |p_c| and sigma * sqrt(diag(C)) are below _TOL_X times the
   initial step size in every coordinate.
 
-Everything is driven by a caller-supplied numpy Generator: identical
-generators give bit-identical runs.
+Everything is driven by caller-supplied numpy Generators, one per problem:
+identical generators give bit-identical runs, alone or in any batch.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CmaResult", "minimize_box", "minimize_population"]
+__all__ = ["CmaResult", "minimize_box", "minimize_population", "minimize_problems"]
 
 # Penalty weight on squared normalized box violation; only has to dominate
 # the objective's local variation near the boundary, not its global scale.
@@ -53,22 +55,36 @@ def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -
     """Minimize func over the box [lower, upper] with restarted CMA-ES.
 
     func takes a (k, n) array of points and returns their k objective
-    values; +inf rejects a point outright. All `restarts` runs advance in
-    lockstep: each generation is one func call holding the populations of
-    every run still going. Run 0 starts at the box center and draws its
-    samples from rng; run r > 0 starts at a uniform random point and draws
-    everything from the r-th child of rng.spawn(restarts - 1), so a run's
-    trajectory depends neither on `restarts` nor on when the others stop.
-    Every run starts with step size 1/4 of each box width, gets at most
-    max_evals objective evaluations and stops early on TolFun, TolX or a
-    diverging step size; a stopped run leaves the batch.
+    values; +inf rejects a point outright. This is the one-problem case of
+    minimize_problems.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.size
-    width = upper - lower
-    runs = max(1, restarts)
-    rngs = [rng, *rng.spawn(runs - 1)]
+    return minimize_problems([func], [lower], [upper], popsize, max_evals, restarts, [rng])[0]
+
+
+def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs) -> list[CmaResult]:
+    """Minimize each funcs[p] over its box [lowers[p], uppers[p]] with restarted CMA-ES.
+
+    The problems share the dimension, population, budget and restart count;
+    the result list holds one CmaResult per problem. Every run of every
+    problem advances in lockstep: each generation is one CMA-ES update over
+    all runs still going and one funcs[p] call per problem p that has runs
+    going, holding the populations of exactly those runs as one (k, n)
+    array. Run 0 of problem p starts at its box center and draws its
+    samples from rngs[p]; run r > 0 starts at a uniform random point and
+    draws everything from the r-th child of rngs[p].spawn(restarts - 1), so
+    a run's trajectory depends neither on `restarts`, nor on when the other
+    runs stop, nor on the other problems. Every run starts with step size
+    1/4 of each box width, gets at most max_evals objective evaluations and
+    stops early on TolFun, TolX or a diverging step size; a stopped run
+    leaves the batch.
+    """
+    per_problem = max(1, restarts)
+    # Runs along a leading axis, grouped by problem: run i belongs to problem i // per_problem.
+    lower = np.repeat(np.asarray(lowers, dtype=float), per_problem, axis=0)
+    width = np.repeat(np.asarray(uppers, dtype=float) - np.asarray(lowers, dtype=float),
+                      per_problem, axis=0)
+    runs, n = lower.shape
+    rngs = [g for rng in rngs for g in (rng, *rng.spawn(per_problem - 1))]
 
     lam = popsize
     mu = lam // 2
@@ -85,8 +101,9 @@ def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -
     sigma0 = 0.25
     tol_x = _TOL_X * sigma0
 
-    # Per-run state along a leading run axis; `ids` names the runs still going.
-    mean = np.array([np.full(n, 0.5)] + [r.uniform(0.0, 1.0, n) for r in rngs[1:]])
+    # Per-run state along the run axis; `ids` names the runs still going.
+    mean = np.array([np.full(n, 0.5) if i % per_problem == 0 else r.uniform(0.0, 1.0, n)
+                     for i, r in enumerate(rngs)])
     sigma = np.full(runs, sigma0)
     cov = np.tile(np.eye(n), (runs, 1, 1))
     p_sigma = np.zeros((runs, n))
@@ -97,8 +114,24 @@ def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -
     recent_best = np.empty((runs, 10 + math.ceil(30 * n / lam)))
     ids = np.arange(runs)
 
+    def problems_of(ids):
+        """(p, lo, hi): runs ids[lo:hi] are the running runs of problem p."""
+        owner = ids // per_problem
+        starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+        return [(int(owner[lo]), lo, hi) for lo, hi in zip(starts, [*starts[1:], ids.size])]
+
+    def evaluate(parts, points):
+        """Objective values of the (running runs, k, n) points, one func call per problem."""
+        out = np.empty(points.shape[:2])
+        for p, lo, hi in parts:
+            values = funcs[p](points[lo:hi].reshape(-1, n))
+            out[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo, -1)
+        return out
+
+    parts = problems_of(ids)
     best_x = np.clip(mean, 0.0, 1.0)
-    best_f = np.array(func(lower + best_x * width), dtype=float)
+    best_f = evaluate(parts, (lower + best_x * width)[:, None, :])[:, 0]
+    run_lower, run_width = lower[:, None, :], width[:, None, :]  # of the running runs
     used = np.ones(runs, dtype=int)
     evals = 1  # per running run: they all started together
     gen = 0
@@ -111,7 +144,7 @@ def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -
         x_clip = np.clip(x, 0.0, 1.0)
         violation = np.sum((x - x_clip) ** 2, axis=2)
 
-        f_raw = func((lower + x_clip * width).reshape(-1, n)).reshape(ids.size, lam)
+        f_raw = evaluate(parts, run_lower + x_clip * run_width)
         evals += lam
         gen += 1
         # the first row holding each run's least value below its best_f
@@ -168,13 +201,19 @@ def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -
             used[ids[stop]] = evals
             keep = ~stop
             ids = ids[keep]
-            mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs = (
-                a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs))
+            parts = problems_of(ids)
+            mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, run_lower, run_width = (
+                a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs,
+                                  run_lower, run_width))
 
     used[ids] = evals
-    best = int(np.argmin(best_f))
-    return CmaResult(x=lower + best_x[best] * width, cost=float(best_f[best]),
-                     evaluations=int(used.sum()))
+    results = []
+    for first in range(0, runs, per_problem):
+        own = slice(first, first + per_problem)
+        best = first + int(np.argmin(best_f[own]))
+        results.append(CmaResult(x=lower[best] + best_x[best] * width[best],
+                                 cost=float(best_f[best]), evaluations=int(used[own].sum())))
+    return results
 
 
 def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:

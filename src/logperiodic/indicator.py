@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibrate import SearchConfig, Window, fit
+from .calibrate import SearchConfig, Window, _fit_windows
 from .errors import FitFailedError, InsufficientHistoryError, ValidationError
 from .qualify import BubbleSign, FilterConfig, QualificationReport, qualify
 from .series import PriceSeries
@@ -69,8 +69,6 @@ class WindowOutcome:
     """Per-window diagnostic; report is None only when the fit failed."""
 
     window: Window
-    qualified: bool
-    sign: BubbleSign
     cost: float
     report: QualificationReport | None
     error: str | None
@@ -119,39 +117,44 @@ def window_seed(base_seed: int, t2: int, length: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _window_task(args) -> WindowOutcome:
-    series, window, search_cfg, filter_cfg = args
-    try:
-        result = fit(series, window, search_cfg)
-    except FitFailedError as exc:
-        return WindowOutcome(
-            window=window, qualified=False, sign=BubbleSign.INDETERMINATE,
-            cost=float("inf"), report=None, error=str(exc),
-        )
-    report = qualify(result, series, window, filter_cfg)
-    return WindowOutcome(
-        window=window, qualified=report.qualified, sign=report.sign,
-        cost=result.cost, report=report, error=None,
-    )
+# Windows per task: consecutive windows of one endpoint, fitted as one
+# lockstep search so they share the per-generation CMA-ES work. A fixed
+# size keeps a chunk's contents a function of the scheme alone.
+_CHUNK = 8
+
+
+def _chunk_task(args) -> list[WindowOutcome]:
+    series, windows, search_cfg, seeds, filter_cfg = args
+    outcomes = []
+    for window, result in zip(windows, _fit_windows(series, windows, search_cfg, seeds)):
+        if isinstance(result, FitFailedError):
+            outcomes.append(WindowOutcome(window, float("inf"), None, str(result)))
+        else:
+            outcomes.append(WindowOutcome(window, result.cost,
+                                          qualify(result, series, window, filter_cfg), None))
+    return outcomes
 
 
 def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers,
             keep_diagnostics=False) -> list[IndicatorPoint]:
     """Fit and qualify every scheme window of every endpoint as one task list."""
-    tasks = [
-        (series, w, search_cfg.with_seed(window_seed(base_seed, t2, w.length)), filter_cfg)
-        for t2 in endpoints
-        for w in windows_for(t2, scheme)
-    ]
+    tasks = []
+    for t2 in endpoints:
+        windows = windows_for(t2, scheme)
+        for i in range(0, len(windows), _CHUNK):
+            chunk = windows[i : i + _CHUNK]
+            seeds = [window_seed(base_seed, t2, w.length) for w in chunk]
+            tasks.append((series, chunk, search_cfg, seeds, filter_cfg))
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_window_task, tasks))  # pool.map keeps task order
+            chunks = list(pool.map(_chunk_task, tasks))  # pool.map keeps task order
     else:
-        outcomes = [_window_task(t) for t in tasks]
+        chunks = [_chunk_task(t) for t in tasks]
+    outcomes = [o for chunk in chunks for o in chunk]
     points = []
     for i, t2 in enumerate(endpoints):
         own = tuple(outcomes[i * scheme.count : (i + 1) * scheme.count])
-        signs = Counter(o.sign for o in own if o.qualified)
+        signs = Counter(o.report.sign for o in own if o.report is not None and o.report.qualified)
         points.append(IndicatorPoint(t2, scheme.count, signs[BubbleSign.POSITIVE],
                                      signs[BubbleSign.NEGATIVE], own if keep_diagnostics else None))
     return points

@@ -146,7 +146,6 @@ def detrended_residual(
 
 def lomb_test(
     residual_pairs: tuple[np.ndarray, np.ndarray],
-    omega_expected: float,
     alpha_sig: float = 0.05,
     omega_range: tuple[float, float] = (2.0, 25.0),
 ) -> LombResult:
@@ -156,8 +155,7 @@ def lomb_test(
     the natural (Rayleigh) resolution 2*pi/span(x), so the scanned count M
     doubles as the independent-frequency count in the classical false-alarm
     estimate 1 - (1 - exp(-z))^M, with z the peak power over the residual
-    variance. omega_expected is informational (the fitted frequency); the
-    decision only uses the false-alarm probability.
+    variance. The decision only uses the false-alarm probability.
     """
     x, r = residual_pairs
     x = np.asarray(x, dtype=float)
@@ -280,7 +278,7 @@ def qualify(
         osc = oscillation_count(p, window, cfg.oscillation_divisor)
         rel_err = max_relative_error(series, window, p)
         pairs = detrended_residual(series, window, p)
-        lomb = lomb_test(pairs, p.omega, cfg.lomb_alpha, (cfg.omega_min, cfg.omega_max))
+        lomb = lomb_test(pairs, cfg.lomb_alpha, (cfg.omega_min, cfg.omega_max))
         if window.length >= 12:
             ou = ou_test(series, window, p, cfg.ou_alpha)
 

@@ -134,7 +134,7 @@ def test_criterion_06_filter_monte_carlo():
         rng = rng_for(seed)
         x = np.sort(rng.uniform(0.0, 3.0, 100))
         r = rng.standard_normal(100)
-        lomb_hits += lomb_test((x, r), 10.0, 0.05).passed
+        lomb_hits += lomb_test((x, r), 0.05).passed
     lomb_rate = lomb_hits / 1000
     assert abs(lomb_rate - 0.05) <= 0.02
 

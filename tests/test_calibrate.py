@@ -6,6 +6,7 @@ import pytest
 from logperiodic import (
     DegenerateBasisError,
     FitFailedError,
+    FitResult,
     LpplsParams,
     PriceSeries,
     SearchConfig,
@@ -17,7 +18,7 @@ from logperiodic import (
     generate,
     linear_solve,
 )
-from logperiodic.calibrate import TC_GUARD
+from logperiodic.calibrate import TC_GUARD, _fit_windows
 from conftest import bubble_params, rng_for
 from oracles import dense_normal_solve, grid_oracle, residual_sum_of_squares
 
@@ -170,6 +171,30 @@ def test_fit_failure_when_basis_always_degenerate(exact_bubble):
     cfg = SearchConfig(m_min=0.0, m_max=1e-9, seed=1, max_evaluations=100, restarts=1)
     with pytest.raises(FitFailedError):
         fit(s, Window(0, 199), cfg)
+
+
+def test_chunked_fits_equal_single_fits(strong_bubble):
+    # The last 10 points are flat. In the 10-point window B and C are
+    # rounding noise, and at its seed no candidate reaches a damping ratio
+    # of 10, so that fit fails while the longer windows see the bubble.
+    _, s = strong_bubble
+    log_prices = s.log_prices.copy()
+    log_prices[-10:] = log_prices[-10]
+    flat_tail = PriceSeries(np.exp(log_prices), None, 1)
+    cfg = SearchConfig(max_evaluations=600, restarts=3, damping_floor=10.0)
+    windows = [Window(419 - length + 1, 419) for length in (200, 120, 40, 10)]
+    seeds = [3, 1 << 40, 12345, 7]
+    alone = []
+    for window, seed in zip(windows, seeds):
+        try:
+            alone.append(fit(flat_tail, window, cfg.with_seed(seed)))
+        except FitFailedError as exc:
+            alone.append(exc)
+    chunk = _fit_windows(flat_tail, windows, cfg, seeds)
+    assert [type(r) for r in alone] == [FitResult, FitResult, FitResult, FitFailedError]
+    assert [type(r) for r in chunk] == [type(r) for r in alone]
+    assert chunk[:3] == alone[:3]  # params, cost and evaluations, bit for bit
+    assert str(chunk[3]) == str(alone[3])
 
 
 def test_scale_covariance(exact_bubble):

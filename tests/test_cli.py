@@ -106,11 +106,6 @@ def test_malformed_csv_is_validation_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_missing_input_is_io_error(tmp_path, capsys):
-    code = main(["ingest", "--input", str(tmp_path / "nope.csv")])
-    assert code == 3
-
-
 def test_scan_is_deterministic_and_subsampled_consistently(bubble_csv, tmp_path):
     path, _ = bubble_csv
     args = [
@@ -152,23 +147,6 @@ def test_scan_json_format(bubble_csv, tmp_path):
     assert payload["points"][0]["t2"] == 419
     assert payload["points"][0]["total_windows"] == 5
     assert payload["config"]["seed"] == 42
-
-
-def test_scan_without_valid_endpoint_is_compute_error(bubble_csv, capsys):
-    path, _ = bubble_csv
-    code = main([
-        "scan", "--input", str(path),
-        "--max-window", "120", "--min-window", "40", "--window-step", "20",
-        "--t2-first", "10", "--t2-last", "20", "--seed", "1", "--workers", "1",
-    ])
-    assert code == 5
-
-
-def test_scan_requires_seed(bubble_csv):
-    path, _ = bubble_csv
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--input", str(path), "--t2-first", "419", "--t2-last", "419"])
-    assert exc.value.code == 2
 
 
 def test_classify_from_scan_table(bubble_csv, tmp_path):
@@ -356,3 +334,39 @@ def test_malformed_input_is_one_line_validation_error(
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(["ingest", "--input", "{tmp}/nope.csv"], 3, id="missing-input"),
+        pytest.param(["ingest", "--input", "{tmp}"], 3, id="input-is-directory"),
+        pytest.param(["ingest", "--input", "{csv}", "--output", "{tmp}/missing/out.csv"], 3,
+                     id="output-into-missing-directory"),
+        pytest.param(["classify", "--input", "{csv}", "--scan-table", "{tmp}/missing.csv",
+                      "--review-first", "410", "--review-last", "470"], 3, id="missing-scan-table"),
+        pytest.param(["scan", "--input", "{csv}", "--max-window", "120", "--min-window", "40",
+                      "--window-step", "20", "--t2-first", "10", "--t2-last", "20",
+                      "--seed", "1", "--workers", "1"], 5, id="scan-without-valid-endpoint"),
+        pytest.param(["fit", "--input", "{csv}", "--t1", "320", "--t2", "419", "--damping-floor", "1e12",
+                      "--max-evaluations", "100", "--restarts", "1", "--seed", "0"], 5,
+                     id="fit-without-admissible-candidate"),
+        pytest.param(["fit", "--input", "{csv}", "--t1", "320"], 2, id="missing-required-flag"),
+        pytest.param(["scan", "--input", "{csv}", "--t2-first", "419", "--t2-last", "419"], 2,
+                     id="scan-without-seed"),
+        pytest.param(["refit", "--input", "{csv}"], 2, id="unknown-subcommand"),
+    ],
+)
+def test_exit_codes_end_without_traceback(argv, expected, bubble_csv, tmp_path, capsys):
+    path, _ = bubble_csv
+    try:
+        code = main([arg.format(csv=path, tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert err.startswith("usage: ")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from logperiodic.cmaes import minimize_box, minimize_population
+from logperiodic.cmaes import minimize_box, minimize_population, minimize_problems
 
 BOX = (np.zeros(3), np.ones(3))
 
@@ -77,3 +77,45 @@ def test_one_call_per_generation_for_all_running_restarts():
     assert max(sizes) <= restarts * lam
     assert len(set(sizes[1:])) > 1  # the batch shrank as runs stopped
     assert sum(sizes) == res.evaluations == totals[-1]
+
+
+def test_one_call_per_problem_per_generation_with_its_own_rows():
+    lam, restarts = 7, 3
+    # disjoint boxes; problem 2 rejects everything, so its runs spend the budget
+    boxes = [(np.full(3, 2.0 * p), np.full(3, 2.0 * p + 1.0 + p)) for p in range(3)]
+    objectives = [
+        lambda xs: _population(xs - 0.0),
+        lambda xs: _population(xs - 2.25),
+        lambda xs: np.full(len(xs), np.inf),
+    ]
+    seeds = [5, 6, 7]
+
+    def recording(p, calls):
+        def func(xs):
+            calls.append((p, np.array(xs)))
+            return objectives[p](xs)
+        return func
+
+    batch_calls = []
+    batch = minimize_problems([recording(p, batch_calls) for p in range(3)],
+                              [lo for lo, _ in boxes], [hi for _, hi in boxes],
+                              popsize=lam, max_evals=900, restarts=restarts,
+                              rngs=[np.random.default_rng(s) for s in seeds])
+    alone_calls = [[] for _ in range(3)]
+    alone = [minimize_population(recording(p, alone_calls[p]), *boxes[p], popsize=lam,
+                                 max_evals=900, restarts=restarts, rng=np.random.default_rng(seeds[p]))
+             for p in range(3)]
+
+    for p in range(3):
+        assert np.array_equal(batch[p].x, alone[p].x)
+        assert batch[p].cost == alone[p].cost
+        assert batch[p].evaluations == alone[p].evaluations
+        # each call holds exactly the rows the problem gets when it runs alone
+        own = [xs for q, xs in batch_calls if q == p]
+        assert len(own) == len(alone_calls[p])
+        assert all(np.array_equal(a, b) for a, b in zip(own, (xs for _, xs in alone_calls[p])))
+    # start points, then one call per generation of each problem with runs going, in problem order
+    generations = [len(calls) - 1 for calls in alone_calls]
+    expected = [0, 1, 2] + [p for g in range(max(generations)) for p in range(3) if generations[p] > g]
+    assert [p for p, _ in batch_calls] == expected
+    assert len(set(generations)) == 3  # the problems stop at different generations

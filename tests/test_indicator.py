@@ -13,11 +13,14 @@ from logperiodic import (
     ValidationError,
     WindowScheme,
     confidence_at,
+    fit,
     generate,
+    qualify,
     scan,
     window_seed,
     windows_for,
 )
+from logperiodic import indicator
 from conftest import FAST_SEARCH, SMALL_SCHEME, bubble_params
 
 
@@ -83,7 +86,7 @@ def test_confidence_at_counts_and_diagnostics(bubble_series):
     assert len(pt.diagnostics) == pt.windows_total
     from logperiodic import BubbleSign
 
-    pos = sum(1 for o in pt.diagnostics if o.qualified and o.sign is BubbleSign.POSITIVE)
+    pos = sum(1 for o in pt.diagnostics if o.report.qualified and o.report.sign is BubbleSign.POSITIVE)
     assert pos == pt.windows_qualified_pos
     assert pt.positive_ci == pt.windows_qualified_pos / 5
     assert float(pt.positive_ci_fraction) == pt.positive_ci
@@ -137,6 +140,24 @@ def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):
     assert pts == expected
 
 
+def test_chunked_outcomes_equal_per_window_fits(bubble_series):
+    # 10 windows per endpoint do not fill a whole number of chunks, and the
+    # two endpoints make four tasks, so workers=2 runs them on the pool.
+    scheme = WindowScheme(120, 30, 10)
+    search = SearchConfig(max_evaluations=300, restarts=2)
+    assert scheme.count % indicator._CHUNK != 0
+    runs = [indicator._points(bubble_series, [300, 419], scheme, search, FilterConfig(), 42,
+                              workers, keep_diagnostics=True)
+            for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    for point in runs[0]:
+        assert [o.window for o in point.diagnostics] == windows_for(point.t2, scheme)
+        for o in point.diagnostics:
+            result = fit(bubble_series, o.window,
+                         search.with_seed(window_seed(42, point.t2, o.window.length)))
+            assert (o.cost, o.report) == (result.cost, qualify(result, bubble_series, o.window))
+
+
 def test_scan_rejects_bad_ranges(bubble_series):
     with pytest.raises(ValidationError):
         scan(bubble_series, 200, 100, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
@@ -173,9 +194,9 @@ def test_removing_windows_bounds_ci_shift(bubble_series):
                          keep_diagnostics=True)
     sub = confidence_at(bubble_series, 419, sub_scheme, FAST_SEARCH, base_seed=42,
                         keep_diagnostics=True)
-    shared_full = {o.window.length: (o.qualified, o.sign) for o in full.diagnostics
+    shared_full = {o.window.length: (o.report.qualified, o.report.sign) for o in full.diagnostics
                    if o.window.length >= 60}
-    shared_sub = {o.window.length: (o.qualified, o.sign) for o in sub.diagnostics}
+    shared_sub = {o.window.length: (o.report.qualified, o.report.sign) for o in sub.diagnostics}
     assert shared_full == shared_sub
     removed = full_scheme.count - sub_scheme.count
     assert abs(full.positive_ci - sub.windows_qualified_pos / full_scheme.count) \

@@ -146,7 +146,7 @@ def test_lomb_detects_pure_sinusoid():
     rng = rng_for(7)
     x = np.sort(rng.uniform(0.0, 3.0, 100))
     r = np.cos(10.0 * x)
-    res = lomb_test((x, r), omega_expected=10.0, alpha_sig=0.05)
+    res = lomb_test((x, r), alpha_sig=0.05)
     assert res.passed
     assert res.false_alarm_probability < 1e-6
     assert abs(res.peak_frequency - 10.0) < 2.0 * math.pi / 3.0  # one grid step
@@ -154,7 +154,7 @@ def test_lomb_detects_pure_sinusoid():
 
 def test_lomb_rejects_constant_residual():
     x = np.linspace(0.0, 3.0, 50)
-    res = lomb_test((x, np.zeros(50)), 10.0, 0.05)
+    res = lomb_test((x, np.zeros(50)), 0.05)
     assert not res.passed
     assert res.false_alarm_probability == 1.0
 
@@ -166,7 +166,7 @@ def test_lomb_white_noise_rate_close_to_alpha():
         rng = rng_for(seed)
         x = np.sort(rng.uniform(0.0, 3.0, 100))
         r = rng.standard_normal(100)
-        passes += lomb_test((x, r), 10.0, 0.05).passed
+        passes += lomb_test((x, r), 0.05).passed
     assert abs(passes / trials - 0.05) <= 0.03
 
 
@@ -188,10 +188,10 @@ def test_lomb_power_matches_direct_formula():
 def test_lomb_validation():
     x = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValidationError):
-        lomb_test((x, np.zeros(5)), 10.0, 0.05)
+        lomb_test((x, np.zeros(5)), 0.05)
     x = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ValidationError):
-        lomb_test((x, np.zeros(9)), 10.0, 0.05)
+        lomb_test((x, np.zeros(9)), 0.05)
 
 
 # --- O-U / AR(1) test ----------------------------------------------------
@@ -267,7 +267,7 @@ def test_qualify_end_to_end_positive(strong_bubble):
     )
     pairs = detrended_residual(s, w, result.params)
     assert report.lomb_false_alarm == pytest.approx(
-        lomb_test(pairs, result.params.omega, 0.05).false_alarm_probability
+        lomb_test(pairs, 0.05).false_alarm_probability
     )
     assert report.ar1_coefficient == pytest.approx(
         ou_test(s, w, result.params, 0.05).ar1_coefficient
