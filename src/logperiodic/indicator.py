@@ -117,10 +117,21 @@ def window_seed(base_seed: int, t2: int, length: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# Windows per task: consecutive windows of one endpoint, fitted as one
-# lockstep search so they share the per-generation CMA-ES work. A fixed
-# size keeps a chunk's contents a function of the scheme alone.
+# Most windows per task: consecutive windows of one endpoint, fitted as one
+# lockstep search so they share the per-generation CMA-ES work.
 _CHUNK = 8
+
+
+def _chunks(windows: list[Window]) -> list[list[Window]]:
+    """Split one endpoint's windows into ceil(W/_CHUNK) consecutive chunks.
+
+    Chunk sizes differ by at most one (21 windows give 7/7/7, 11 give
+    5/6), so the pool's tasks are balanced, and the split depends on the
+    scheme alone.
+    """
+    count = len(windows)
+    parts = -(-count // _CHUNK)
+    return [windows[j * count // parts : (j + 1) * count // parts] for j in range(parts)]
 
 
 def _chunk_task(args) -> list[WindowOutcome]:
@@ -140,9 +151,7 @@ def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, worker
     """Fit and qualify every scheme window of every endpoint as one task list."""
     tasks = []
     for t2 in endpoints:
-        windows = windows_for(t2, scheme)
-        for i in range(0, len(windows), _CHUNK):
-            chunk = windows[i : i + _CHUNK]
+        for chunk in _chunks(windows_for(t2, scheme)):
             seeds = [window_seed(base_seed, t2, w.length) for w in chunk]
             tasks.append((series, chunk, search_cfg, seeds, filter_cfg))
     if workers is not None and workers > 1 and len(tasks) > 1:

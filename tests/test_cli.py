@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logperiodic
 from logperiodic import PriceSeries, SynthSpec, emit_csv, generate, ingest
 from logperiodic.cli import RunConfig, config_dict, main, read_scan_csv
 from logperiodic.synth import trading_dates
@@ -370,3 +375,15 @@ def test_exit_codes_end_without_traceback(argv, expected, bubble_csv, tmp_path, 
         assert err.startswith("usage: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cold_import_loads_no_scipy():
+    # Importing scipy.signal alone takes over a second, which every CLI call
+    # and pool worker would pay; the library must not pull scipy in.
+    src = str(Path(logperiodic.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, logperiodic, logperiodic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -141,8 +141,8 @@ def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):
 
 
 def test_chunked_outcomes_equal_per_window_fits(bubble_series):
-    # 10 windows per endpoint do not fill a whole number of chunks, and the
-    # two endpoints make four tasks, so workers=2 runs them on the pool.
+    # 10 windows per endpoint make two chunks of 5, below the chunk cap, and
+    # the two endpoints make four tasks, so workers=2 runs them on the pool.
     scheme = WindowScheme(120, 30, 10)
     search = SearchConfig(max_evaluations=300, restarts=2)
     assert scheme.count % indicator._CHUNK != 0
@@ -156,6 +156,18 @@ def test_chunked_outcomes_equal_per_window_fits(bubble_series):
             result = fit(bubble_series, o.window,
                          search.with_seed(window_seed(42, point.t2, o.window.length)))
             assert (o.cost, o.report) == (result.cost, qualify(result, bubble_series, o.window))
+
+
+def test_chunks_cover_windows_in_order_with_balanced_sizes():
+    for count in range(1, 4 * indicator._CHUNK + 2):
+        windows = windows_for(1000, WindowScheme(30 + 5 * (count - 1), 30, 5))
+        chunks = indicator._chunks(windows)
+        sizes = [len(c) for c in chunks]
+        assert [w for c in chunks for w in c] == windows
+        assert len(chunks) == -(-count // indicator._CHUNK)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= indicator._CHUNK
+    assert [len(c) for c in indicator._chunks(list(range(21)))] == [7, 7, 7]
+    assert [len(c) for c in indicator._chunks(list(range(11)))] == [5, 6]
 
 
 def test_scan_rejects_bad_ranges(bubble_series):

@@ -1,4 +1,4 @@
-"""Hypothesis properties of the series layer, the cost kernel and the indicator."""
+"""Hypothesis properties of the series layer, the cost kernel, the periodogram and the indicator."""
 
 import math
 
@@ -13,6 +13,7 @@ from logperiodic import (  # noqa: E402
     generate, resample, scan,
 )
 from logperiodic.calibrate import _objective, _profile, _window_arrays  # noqa: E402
+from logperiodic.qualify import _lomb_power  # noqa: E402
 from conftest import bubble_params  # noqa: E402
 from oracles import dense_normal_solve, residual_sum_of_squares  # noqa: E402
 
@@ -107,6 +108,29 @@ def test_objective_scratch_never_leaks_between_calls(big, small):
     for rows in (big, small, big):
         points = _batch(w, [(ROW_KINDS[i % len(ROW_KINDS)], *row) for i, row in enumerate(rows)])
         assert np.array_equal(func(points), _profile(t, y, points)[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=650),
+    tc_offset=st.floats(min_value=0.01, max_value=150.0),
+    omega=st.floats(min_value=1.0, max_value=30.0),
+    amplitude=st.floats(min_value=0.0, max_value=10.0),
+    sigma=st.floats(min_value=1e-6, max_value=10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lomb_power_matches_scipy_on_qualify_inputs(n, tc_offset, omega, amplitude, sigma, seed):
+    # qualify's inputs: x = ln(tc - t) over a window, a centred residual, and
+    # angular frequencies on the Rayleigh grid over [2, 25]
+    from scipy.signal import lombscargle
+
+    x = np.log(n - 1 + tc_offset - np.arange(n, dtype=float))
+    r = amplitude * np.cos(omega * x) + sigma * np.random.default_rng(seed).standard_normal(n)
+    r = r - r.mean()
+    delta = 2.0 * math.pi / (x.max() - x.min())
+    freqs = 2.0 + delta * np.arange(int(math.floor(23.0 / delta)) + 1)
+    want = lombscargle(x, r, freqs)
+    assert np.max(np.abs(_lomb_power(x, r, freqs) - want)) <= 1e-12 * np.max(want)
 
 
 @settings(max_examples=3, deadline=None)

@@ -25,6 +25,7 @@ from logperiodic import (
     qualify,
 )
 from logperiodic.calibrate import FitResult
+from logperiodic.qualify import _lomb_power
 from conftest import bubble_params, rng_for
 from oracles import lomb_power
 
@@ -178,9 +179,7 @@ def test_lomb_power_matches_direct_formula():
     delta = 2.0 * math.pi / span
     n_freq = int(math.floor((25.0 - 2.0) / delta)) + 1
     freqs = 2.0 + delta * np.arange(n_freq)
-    from scipy.signal import lombscargle
-
-    got = lombscargle(x, r - r.mean(), freqs)
+    got = _lomb_power(x, r - r.mean(), freqs)
     want = lomb_power(x, r, freqs)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-12)) <= 1e-8
 
