@@ -49,12 +49,6 @@ class Window:
     def length(self) -> int:
         return self.t2 - self.t1 + 1
 
-    def check_within(self, series: PriceSeries) -> None:
-        if self.t2 >= len(series):
-            raise ValidationError(
-                f"window end {self.t2} outside series of length {len(series)}"
-            )
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -106,7 +100,8 @@ class FitResult:
 
 
 def _window_arrays(series: PriceSeries, window: Window) -> tuple[np.ndarray, np.ndarray]:
-    window.check_within(series)
+    if window.t2 >= len(series):
+        raise ValidationError(f"window end {window.t2} outside series of length {len(series)}")
     t = np.arange(window.t1, window.t2 + 1, dtype=float)
     y = series.log_prices[window.t1 : window.t2 + 1]
     return t, y

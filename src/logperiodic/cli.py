@@ -23,14 +23,13 @@ import typing
 from . import calibrate, indicator
 from . import series as series_mod
 from . import synth as synth_mod
-from .classify import assess
+from .classify import DAILY_THRESHOLD, WEEKLY_THRESHOLD, assess
 from .qualify import FilterConfig
 from .qualify import qualify as qualify_fit
 from .errors import DomainError, FitFailedError, LogPeriodicError, ValidationError
 from .model import LpplsParams
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_COMPUTE = 5
@@ -47,10 +46,10 @@ class _RunFields:
 
     input: str | None = None
     stride: int = 1
-    max_window: int = 650
-    min_window: int = 30
-    window_step: int = 5
-    threshold: float | None = None  # resolved: 0.05 for stride 1, 0.02 coarser
+    max_window: int = indicator.WindowScheme.max_len
+    min_window: int = indicator.WindowScheme.min_len
+    window_step: int = indicator.WindowScheme.step
+    threshold: float | None = None  # resolved: daily for stride 1, weekly coarser
     t2_first: int | None = None
     t2_last: int | None = None
     t2_step: int = 1
@@ -75,7 +74,7 @@ class _RunFields:
     def resolved_threshold(self) -> float:
         if self.threshold is not None:
             return self.threshold
-        return 0.05 if self.stride == 1 else 0.02
+        return float(DAILY_THRESHOLD if self.stride == 1 else WEEKLY_THRESHOLD)
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
@@ -86,14 +85,17 @@ class _RunFields:
                 workers = int(env)
             except ValueError:
                 raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-            return _check_workers(workers, WORKERS_ENV)
+            return _check_setting("workers", workers, WORKERS_ENV)
         return os.cpu_count() or 1
 
 
-def _check_workers(workers: int, source: str) -> int:
-    if workers < 1:
-        raise ValidationError(f"{source}: workers must be >= 1, got {workers}")
-    return workers
+def _check_setting(key: str, value, source: str):
+    """Stride and workers must be >= 1 and format csv or json, wherever they are set."""
+    if key in ("stride", "workers") and value < 1:
+        raise ValidationError(f"{source}: {key} must be >= 1, got {value}")
+    if key == "format" and value not in ("csv", "json"):
+        raise ValidationError(f"{source}: format must be csv or json, got {value!r}")
+    return value
 
 
 _SEARCH_NAMES = {f.name for f in dataclasses.fields(calibrate.SearchConfig)}
@@ -147,13 +149,12 @@ def load_config_file(path: str) -> dict:
                 raise ValidationError(f"{path} line {line_no}: unknown config key {key!r}")
             field_type = _FIELD_TYPES[key]
             try:
-                values[key] = field_type(raw)
+                value = field_type(raw)
             except ValueError:
                 raise ValidationError(
                     f"{path} line {line_no}: {key} = {raw!r} is not a valid {field_type.__name__}"
                 ) from None
-            if key == "workers":
-                _check_workers(values[key], f"{path} line {line_no}")
+            values[key] = _check_setting(key, value, f"{path} line {line_no}")
     return values
 
 
@@ -165,9 +166,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "workers", None) is not None:
-        _check_workers(args.workers, "--workers")
+            setattr(cfg, name, _check_setting(name, value, "--" + name.replace("_", "-")))
     return cfg
 
 
@@ -206,10 +205,7 @@ def _read_series(cfg: RunConfig) -> series_mod.PriceSeries:
         raise ValidationError("an input CSV is required (--input)")
     with open(cfg.input, encoding="utf-8") as handle:
         text = handle.read()
-    loaded = series_mod.ingest(text)
-    if cfg.stride > 1:
-        loaded = series_mod.resample(loaded, cfg.stride)
-    return loaded
+    return series_mod.resample(series_mod.ingest(text), cfg.stride)
 
 
 def _csv_with_config(cfg: RunConfig, body: str) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CmaResult", "minimize_box", "minimize_population", "minimize_problems"]
+__all__ = ["CmaResult", "minimize_box", "minimize_problems"]
 
 # Penalty weight on squared normalized box violation; only has to dominate
 # the objective's local variation near the boundary, not its global scale.
@@ -51,16 +51,6 @@ class CmaResult:
     evaluations: int
 
 
-def minimize_population(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
-    """Minimize func over the box [lower, upper] with restarted CMA-ES.
-
-    func takes a (k, n) array of points and returns their k objective
-    values; +inf rejects a point outright. This is the one-problem case of
-    minimize_problems.
-    """
-    return minimize_problems([func], [lower], [upper], popsize, max_evals, restarts, [rng])[0]
-
-
 def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs) -> list[CmaResult]:
     """Minimize each funcs[p] over its box [lowers[p], uppers[p]] with restarted CMA-ES.
 
@@ -69,7 +59,8 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
     problem advances in lockstep: each generation is one CMA-ES update over
     all runs still going and one funcs[p] call per problem p that has runs
     going, holding the populations of exactly those runs as one (k, n)
-    array. Run 0 of problem p starts at its box center and draws its
+    array; it returns their k objective values, and +inf rejects a point
+    outright. Run 0 of problem p starts at its box center and draws its
     samples from rngs[p]; run r > 0 starts at a uniform random point and
     draws everything from the r-th child of rngs[p].spawn(restarts - 1), so
     a run's trajectory depends neither on `restarts`, nor on when the other
@@ -217,6 +208,6 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
 
 
 def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
-    """minimize_population for a func that takes one point and returns a float."""
-    return minimize_population(lambda xs: np.array([func(x) for x in xs], dtype=float),
-                               lower, upper, popsize, max_evals, restarts, rng)
+    """minimize_problems for one func that takes one point and returns a float."""
+    return minimize_problems([lambda xs: np.array([func(x) for x in xs], dtype=float)],
+                             [lower], [upper], popsize, max_evals, restarts, [rng])[0]

@@ -1,6 +1,6 @@
 """Price series ingestion and resampling.
 
-A PriceSeries is an immutable, trading-step-indexed view of closing prices:
+A PriceSeries is an immutable, trading-step-indexed copy of closing prices:
 indices are always 0..N-1 after construction, calendar dates are optional
 metadata, and all downstream time arithmetic happens in step units.
 """
@@ -8,6 +8,7 @@ metadata, and all downstream time arithmetic happens in step units.
 from __future__ import annotations
 
 import datetime as _dt
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,23 +19,29 @@ __all__ = ["PriceSeries", "ingest", "resample", "emit_csv"]
 CSV_HEADER = "date,close"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PriceSeries:
     """Ordered positive prices at a fixed stride (1=daily, 5=weekly, 21=monthly).
 
-    Immutable after construction; safe to share across threads/processes.
+    Holds a read-only copy of the prices, so it is safe to share across
+    threads and processes and the caller's array stays the caller's.
     """
 
-    __slots__ = ("_prices", "_log_prices", "_dates", "_stride")
+    prices: np.ndarray
+    dates: tuple[_dt.date, ...] | None = None
+    stride: int = 1
+    log_prices: np.ndarray = field(init=False)
 
-    def __init__(self, prices, dates=None, stride: int = 1):
-        prices = np.asarray(prices, dtype=float)
+    def __post_init__(self):
+        prices = np.array(self.prices, dtype=float)
         if prices.ndim != 1 or prices.size < 2:
             raise ValidationError("a price series needs at least 2 observations")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             bad = int(np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))[0])
             raise ValidationError(f"non-positive or non-finite price at index {bad}")
-        if int(stride) < 1:
-            raise ValidationError(f"stride must be >= 1, got {stride}")
+        if int(self.stride) < 1:
+            raise ValidationError(f"stride must be >= 1, got {self.stride}")
+        dates = self.dates
         if dates is not None:
             dates = tuple(dates)
             if len(dates) != prices.size:
@@ -42,64 +49,45 @@ class PriceSeries:
             for a, b in zip(dates, dates[1:]):
                 if b <= a:
                     raise ValidationError(f"dates not strictly increasing at {b}")
-        prices.setflags(write=False)
         log_prices = np.log(prices)
+        prices.setflags(write=False)
         log_prices.setflags(write=False)
-        object.__setattr__(self, "_prices", prices)
-        object.__setattr__(self, "_log_prices", log_prices)
-        object.__setattr__(self, "_dates", dates)
-        object.__setattr__(self, "_stride", int(stride))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PriceSeries is immutable")
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "log_prices", log_prices)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "stride", int(self.stride))
 
     def __reduce__(self):
-        return (PriceSeries, (self._prices, self._dates, self._stride))
+        return (PriceSeries, (self.prices, self.dates, self.stride))
 
     def __len__(self) -> int:
-        return self._prices.size
-
-    @property
-    def prices(self) -> np.ndarray:
-        return self._prices
-
-    @property
-    def log_prices(self) -> np.ndarray:
-        return self._log_prices
-
-    @property
-    def dates(self) -> tuple[_dt.date, ...] | None:
-        return self._dates
-
-    @property
-    def stride(self) -> int:
-        return self._stride
+        return self.prices.size
 
     def date_of(self, i: int) -> _dt.date | None:
-        return self._dates[int(i)] if self._dates is not None else None
+        return self.dates[int(i)] if self.dates is not None else None
 
     def truncate(self, last_index: int) -> "PriceSeries":
         """Series restricted to indices 0..last_index (inclusive)."""
         last_index = int(last_index)
         if not 1 <= last_index < len(self):
             raise ValidationError(f"truncation index {last_index} out of range")
-        dates = self._dates[: last_index + 1] if self._dates is not None else None
-        return PriceSeries(self._prices[: last_index + 1], dates, self._stride)
+        dates = self.dates[: last_index + 1] if self.dates is not None else None
+        return PriceSeries(self.prices[: last_index + 1], dates, self.stride)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PriceSeries):
             return NotImplemented
         return (
-            self._stride == other._stride
-            and self._dates == other._dates
-            and np.array_equal(self._prices, other._prices)
+            self.stride == other.stride
+            and self.dates == other.dates
+            and np.array_equal(self.prices, other.prices)
         )
 
     def __repr__(self) -> str:
         span = ""
-        if self._dates is not None:
-            span = f", {self._dates[0].isoformat()}..{self._dates[-1].isoformat()}"
-        return f"PriceSeries(n={len(self)}, stride={self._stride}{span})"
+        if self.dates is not None:
+            span = f", {self.dates[0].isoformat()}..{self.dates[-1].isoformat()}"
+        return f"PriceSeries(n={len(self)}, stride={self.stride}{span})"
 
 
 def _parse_date(text: str, line_no: int) -> _dt.date:

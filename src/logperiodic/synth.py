@@ -26,8 +26,8 @@ DEFAULT_START_DATE = _dt.date(2000, 1, 3)  # a Monday
 class SynthSpec:
     """Recipe for one synthetic series.
 
-    t_range defaults to (0, n-1): unit spacing, so series indices coincide
-    with model time and params.tc is directly comparable to fitted values.
+    Model time is 0..n-1 at unit spacing, so series indices coincide with
+    model time and params.tc is directly comparable to fitted values.
     noise_sigma is the innovation standard deviation; with noise_phi > 0
     the noise is a stationary AR(1) process instead of white.
     """
@@ -36,7 +36,6 @@ class SynthSpec:
     n: int
     noise_sigma: float = 0.0
     seed: int = 0
-    t_range: tuple[float, float] | None = None
     noise_phi: float = 0.0
     start_date: _dt.date | None = DEFAULT_START_DATE
 
@@ -47,16 +46,10 @@ class SynthSpec:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.noise_phi < 1.0:
             raise ValidationError(f"noise_phi must lie in [0, 1), got {self.noise_phi}")
-        t_start, t_end = self.times()
-        if t_start >= t_end:
-            raise ValidationError(f"empty time range ({t_start}, {t_end})")
-        if t_end >= self.params.tc:
+        if self.n - 1 >= self.params.tc:
             raise ValidationError(
-                f"time range must end before tc={self.params.tc}, got t_end={t_end}"
+                f"time range must end before tc={self.params.tc}, got t_end={float(self.n - 1)}"
             )
-
-    def times(self) -> tuple[float, float]:
-        return self.t_range if self.t_range is not None else (0.0, float(self.n - 1))
 
 
 def trading_dates(start: _dt.date, n: int) -> tuple[_dt.date, ...]:
@@ -72,8 +65,7 @@ def trading_dates(start: _dt.date, n: int) -> tuple[_dt.date, ...]:
 
 def generate(spec: SynthSpec) -> PriceSeries:
     """Deterministic series: price = exp(model log price + seeded noise)."""
-    t_start, t_end = spec.times()
-    t = np.linspace(t_start, t_end, spec.n)
+    t = np.linspace(0.0, spec.n - 1, spec.n)
     log_prices = evaluate(spec.params, t)
     if spec.noise_sigma > 0.0:
         rng = np.random.default_rng(spec.seed)

@@ -264,6 +264,13 @@ def test_config_surface_is_pinned():
     }
 
 
+def test_default_threshold_follows_the_stride():
+    daily = config_dict(RunConfig(stride=1))["threshold"]
+    weekly = config_dict(RunConfig(stride=5))["threshold"]
+    assert (type(daily), daily) == (float, 0.05)
+    assert (type(weekly), weekly) == (float, 0.02)
+
+
 @pytest.mark.parametrize(
     "argv, files, env, expected",
     [
@@ -323,6 +330,24 @@ def test_config_surface_is_pinned():
             ["scan", "--input", "{csv}", "--seed", "1", *SMALL_SCAN],
             {}, {"LOGPERIODIC_WORKERS": "0"}, "LOGPERIODIC_WORKERS: workers must be >= 1",
             id="workers-env-zero",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", "--format", "xml", *SMALL_SCAN],
+            {}, {}, "--format: format must be csv or json, got 'xml'", id="format-flag",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "1", "--config", "{tmp}/run.cfg", *SMALL_SCAN],
+            {"run.cfg": "format = yaml\n"}, {}, "run.cfg line 1: format must be csv or json",
+            id="format-config",
+        ),
+        pytest.param(
+            ["fit", "--input", "{csv}", "--t1", "320", "--t2", "419", "--stride", "0"],
+            {}, {}, "--stride: stride must be >= 1, got 0", id="stride-flag",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "stride = -1\n", "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"},
+            {}, "run.cfg line 1: stride must be >= 1, got -1", id="stride-config",
         ),
     ],
 )
@@ -387,3 +412,4 @@ def test_cold_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from logperiodic.cmaes import minimize_box, minimize_population, minimize_problems
+from logperiodic.cmaes import minimize_box, minimize_problems
 
-BOX = (np.zeros(3), np.ones(3))
+LO, HI = np.zeros(3), np.ones(3)
 
 
 def _point(x):
@@ -20,7 +20,7 @@ def _population(xs):
 
 
 def test_convex_quadratic_stops_before_budget_at_its_minimum():
-    res = minimize_box(_point, *BOX, popsize=7, max_evals=2000, restarts=5,
+    res = minimize_box(_point, LO, HI, popsize=7, max_evals=2000, restarts=5,
                        rng=np.random.default_rng(1))
     every_run_spent = 5 * (1 + 7 * ((2000 - 1) // 7))  # the last generation that fits
     assert res.evaluations < every_run_spent
@@ -29,9 +29,9 @@ def test_convex_quadratic_stops_before_budget_at_its_minimum():
 
 def test_point_adapter_is_the_population_loop():
     runs = [
-        minimize_box(_point, *BOX, popsize=7, max_evals=900, restarts=3, rng=np.random.default_rng(7)),
-        minimize_population(_population, *BOX, popsize=7, max_evals=900, restarts=3,
-                            rng=np.random.default_rng(7)),
+        minimize_box(_point, LO, HI, popsize=7, max_evals=900, restarts=3, rng=np.random.default_rng(7)),
+        minimize_problems([_population], [LO], [HI], popsize=7, max_evals=900, restarts=3,
+                          rngs=[np.random.default_rng(7)])[0],
     ]
     assert np.array_equal(runs[0].x, runs[1].x)
     assert runs[0].cost == runs[1].cost
@@ -40,16 +40,16 @@ def test_point_adapter_is_the_population_loop():
 
 def test_all_inf_objective_spends_the_whole_budget():
     # inf - inf is nan: a range of rejected values must never read as converged
-    res = minimize_population(lambda xs: np.full(len(xs), np.inf), *BOX, popsize=7,
-                              max_evals=300, restarts=2, rng=np.random.default_rng(0))
+    res = minimize_problems([lambda xs: np.full(len(xs), np.inf)], [LO], [HI], popsize=7,
+                            max_evals=300, restarts=2, rngs=[np.random.default_rng(0)])[0]
     assert res.cost == math.inf
     assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
 
 
 def test_restart_streams_nest():
     # run r draws from its own child stream, so adding runs only adds trajectories
-    runs = [minimize_population(_population, *BOX, popsize=7, max_evals=2000, restarts=r,
-                                rng=np.random.default_rng(11))
+    runs = [minimize_problems([_population], [LO], [HI], popsize=7, max_evals=2000, restarts=r,
+                              rngs=[np.random.default_rng(11)])[0]
             for r in range(1, 6)]
     costs = [r.cost for r in runs]
     evals = [r.evaluations for r in runs]
@@ -65,11 +65,11 @@ def test_one_call_per_generation_for_all_running_restarts():
         sizes.append(len(xs))
         return _population(xs)
 
-    res = minimize_population(recording, *BOX, popsize=lam, max_evals=2000, restarts=restarts,
-                              rng=np.random.default_rng(11))
+    res = minimize_problems([recording], [LO], [HI], popsize=lam, max_evals=2000,
+                            restarts=restarts, rngs=[np.random.default_rng(11)])[0]
     # per-run evaluations, from the nesting of the restart streams
-    totals = [0] + [minimize_population(_population, *BOX, popsize=lam, max_evals=2000, restarts=r,
-                                        rng=np.random.default_rng(11)).evaluations
+    totals = [0] + [minimize_problems([_population], [LO], [HI], popsize=lam, max_evals=2000,
+                                      restarts=r, rngs=[np.random.default_rng(11)])[0].evaluations
                     for r in range(1, restarts + 1)]
     gens = [(b - a - 1) // lam for a, b in zip(totals, totals[1:])]
     assert sizes[0] == restarts  # the start points
@@ -102,8 +102,9 @@ def test_one_call_per_problem_per_generation_with_its_own_rows():
                               popsize=lam, max_evals=900, restarts=restarts,
                               rngs=[np.random.default_rng(s) for s in seeds])
     alone_calls = [[] for _ in range(3)]
-    alone = [minimize_population(recording(p, alone_calls[p]), *boxes[p], popsize=lam,
-                                 max_evals=900, restarts=restarts, rng=np.random.default_rng(seeds[p]))
+    alone = [minimize_problems([recording(p, alone_calls[p])], [boxes[p][0]], [boxes[p][1]],
+                               popsize=lam, max_evals=900, restarts=restarts,
+                               rngs=[np.random.default_rng(seeds[p])])[0]
              for p in range(3)]
 
     for p in range(3):

@@ -166,6 +166,20 @@ def test_series_immutable():
         s.prices[0] = 1.0
 
 
+def test_series_leaves_the_callers_array_writable():
+    prices = np.array([1.0, 2.0, 3.0])
+    PriceSeries(prices, None, 1)
+    assert prices.flags.writeable
+
+
+def test_series_does_not_alias_the_callers_array():
+    base = np.array([1.0, 2.0, 3.0])
+    s = PriceSeries(base[:], None, 1)
+    base[0] = -99.0
+    assert s.prices.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(s.log_prices, np.log([1.0, 2.0, 3.0]))
+
+
 def test_truncate():
     s = ingest(CSV3)
     t = s.truncate(1)

@@ -67,8 +67,6 @@ def test_spec_validation():
         SynthSpec(params=p, n=100, noise_phi=1.0)
     with pytest.raises(ValidationError):
         SynthSpec(params=p, n=300)  # t_end = 299 >= tc = 220
-    with pytest.raises(ValidationError):
-        SynthSpec(params=p, n=100, t_range=(50.0, 50.0))
 
 
 def test_generate_fit_round_trip():
