@@ -72,6 +72,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.population < 4:
             raise ValidationError(f"population must be >= 4, got {self.population}")
         if not (self.m_min < self.m_max and self.omega_min < self.omega_max):

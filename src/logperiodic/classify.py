@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"expected a finite number, got {value}")
         return Fraction(repr(value))
     return Fraction(value)
 

@@ -11,15 +11,22 @@ The restarts of a search, and the searches of several problems of one
 dimension and budget, run in lockstep: each generation is one update over
 every running run and one call of each problem's objective with the
 populations of its running restarts as one (k, n) array. A run ends when
-its evaluation budget is spent, when its step size diverges, or on one of
+its evaluation budget is spent, when its step size diverges, on one of
 the two termination criteria of Hansen, "The CMA Evolution Strategy: A
-Tutorial" (arXiv:1604.00772):
+Tutorial" (arXiv:1604.00772), or when it stalls behind a sibling run:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
   generation whose values are all finite can trip it.
 - TolX: sigma * |p_c| and sigma * sqrt(diag(C)) are below _TOL_X times the
   initial step size in every coordinate.
+- Stall: the run has not strictly lowered its best value for the last
+  10 + ceil(30 n / lambda) generations (TolFun's history length), and
+  another run of the same problem, running or stopped, holds a strictly
+  lower best value. The run that leads its problem never stops this way,
+  so the returned best is never cut short, and a search with one restart
+  never stops this way at all. It is the one criterion that reads other
+  runs, and only those of the same problem.
 
 Everything is driven by caller-supplied numpy Generators, one per problem:
 identical generators give bit-identical runs, alone or in any batch.
@@ -63,11 +70,15 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
     outright. Run 0 of problem p starts at its box center and draws its
     samples from rngs[p]; run r > 0 starts at a uniform random point and
     draws everything from the r-th child of rngs[p].spawn(restarts - 1), so
-    a run's trajectory depends neither on `restarts`, nor on when the other
-    runs stop, nor on the other problems. Every run starts with step size
-    1/4 of each box width, gets at most max_evals objective evaluations and
-    stops early on TolFun, TolX or a diverging step size; a stopped run
-    leaves the batch.
+    a run's samples depend neither on `restarts` nor on the other problems.
+    Every run starts with step size 1/4 of each box width, gets at most
+    max_evals objective evaluations and stops early on TolFun, TolX, a
+    diverging step size, or a stall behind a strictly better run of its own
+    problem; a stopped run leaves the batch. Under the stall rule the
+    generation at which a trailing run stops depends on the best values of
+    the other runs of its problem, so adding restarts can end a run
+    earlier; the leading run of each problem always finishes, and with
+    restarts = 1 the rule never fires.
     """
     per_problem = max(1, restarts)
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // per_problem.
@@ -103,6 +114,8 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
     eigvecs = cov.copy()
     # best ranked value of each of the last 10 + ceil(30 n / lambda) generations
     recent_best = np.empty((runs, 10 + math.ceil(30 * n / lam)))
+    improved = np.zeros(runs, dtype=int)  # the generation that last lowered best_f
+    firsts = np.arange(0, runs, per_problem)  # each problem's first run
     ids = np.arange(runs)
 
     def problems_of(ids):
@@ -144,6 +157,7 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
         better = f_raw[rows, k] < best_f[ids]
         best_f[ids[better]] = f_raw[rows, k][better]
         best_x[ids[better]] = x_clip[rows, k][better]
+        improved[ids[better]] = gen
         finite = np.isfinite(f_raw)
         fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
 
@@ -188,6 +202,9 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
         stop |= ((sigma[:, None] * np.abs(p_c) < tol_x).all(axis=1)
                  & (sigma[:, None] * np.sqrt(np.diagonal(cov, axis1=1, axis2=2)) < tol_x).all(axis=1))
         stop |= ~np.isfinite(sigma) | (sigma > 1e6)
+        # stall: no new best for a TolFun history, behind its problem's leader
+        leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]
+        stop |= (gen - improved[ids] >= recent_best.shape[1]) & (leader < best_f[ids])
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop
@@ -199,7 +216,7 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
 
     used[ids] = evals
     results = []
-    for first in range(0, runs, per_problem):
+    for first in firsts.tolist():
         own = slice(first, first + per_problem)
         best = first + int(np.argmin(best_f[own]))
         results.append(CmaResult(x=lower[best] + best_x[best] * width[best],

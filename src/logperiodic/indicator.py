@@ -149,6 +149,8 @@ def _chunk_task(args) -> list[WindowOutcome]:
 def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers,
             keep_diagnostics=False) -> list[IndicatorPoint]:
     """Fit and qualify every scheme window of every endpoint as one task list."""
+    if base_seed < 0:
+        raise ValidationError(f"base_seed must be >= 0, got {base_seed}")
     tasks = []
     for t2 in endpoints:
         for chunk in _chunks(windows_for(t2, scheme)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +65,9 @@ class FilterConfig:
     ou_alpha: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValidationError(f"filter {f.name} must not be nan")
         if self.oscillation_threshold <= 0 or self.oscillation_divisor <= 0:
             raise ValidationError("oscillation threshold and divisor must be positive")
         if not 0 < self.lomb_alpha < 1 or not 0 < self.ou_alpha < 1:

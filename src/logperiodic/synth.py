@@ -9,6 +9,7 @@ assumption behind the qualification battery).
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"need n >= 2 points, got {self.n}")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_phi < 1.0:
             raise ValidationError(f"noise_phi must lie in [0, 1), got {self.noise_phi}")
         if self.n - 1 >= self.params.tc:

@@ -43,6 +43,12 @@ def test_search_config_validation():
         SearchConfig(tc_extension=0.0)
     with pytest.raises(ValidationError):
         SearchConfig(restarts=0)
+    with pytest.raises(ValidationError):
+        SearchConfig(seed=-1)
+    for name in ("m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=name):
+                SearchConfig(**{name: value})
 
 
 def test_linear_solve_exact_interpolation():

@@ -79,6 +79,11 @@ def test_classify_validation():
         classify(0.1, 0.0)
     with pytest.raises(ValidationError):
         classify(0.1, 1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            classify(0.1, value)
+        with pytest.raises(ValidationError):
+            classify(value, 0.05)
 
 
 @pytest.mark.parametrize("name,ci,expected", TABLE_DAILY)

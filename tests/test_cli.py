@@ -18,6 +18,8 @@ SMALL_SCAN = [
     "--max-window", "120", "--min-window", "40", "--window-step", "20",
     "--max-evaluations", "600", "--restarts", "2", "--t2-first", "419", "--t2-last", "419",
 ]
+FIT = ["fit", "--input", "{csv}", "--t1", "320", "--t2", "419"]
+SYNTH = ["synth", "--tc", "430", "--m", "0.5", "--omega", "8", "--A", "8", "--B", "-0.8", "--n", "100"]
 CLASSIFY = ["classify", "--input", "{csv}", "--scan-table", "{tmp}/scan.csv", "--review-last", "470"]
 SCAN_HEADER = "date,t2,positive_ci,negative_ci,pos_count,neg_count,total_windows\n"
 
@@ -348,6 +350,52 @@ def test_default_threshold_follows_the_stride():
             CLASSIFY + ["--review-first", "410", "--config", "{tmp}/run.cfg"],
             {"run.cfg": "stride = -1\n", "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"},
             {}, "run.cfg line 1: stride must be >= 1, got -1", id="stride-config",
+        ),
+        pytest.param(
+            FIT + ["--seed", "-1"], {}, {}, "seed must be >= 0, got -1", id="seed-fit",
+        ),
+        pytest.param(
+            ["scan", "--input", "{csv}", "--seed", "-1", *SMALL_SCAN],
+            {}, {}, "seed must be >= 0, got -1", id="seed-scan",
+        ),
+        pytest.param(
+            FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "seed = -3\n"}, {},
+            "seed must be >= 0, got -3", id="seed-config",
+        ),
+        pytest.param(
+            SYNTH + ["--noise-sigma", "0.01", "--seed", "-1"], {}, {}, "seed must be >= 0, got -1",
+            id="seed-synth",
+        ),
+        pytest.param(
+            FIT + ["--damping-floor", "nan"], {}, {}, "damping_floor must be finite, got nan",
+            id="damping-floor-nan",
+        ),
+        pytest.param(
+            FIT + ["--tc-extension", "inf"], {}, {}, "tc_extension must be finite, got inf",
+            id="tc-extension-inf",
+        ),
+        pytest.param(
+            FIT + ["--omega-max", "inf"], {}, {}, "omega_max must be finite, got inf", id="omega-max-inf",
+        ),
+        pytest.param(
+            FIT + ["--filter-m-min", "nan"], {}, {}, "filter m_min must not be nan", id="filter-m-min-nan",
+        ),
+        pytest.param(
+            FIT + ["--max-rel-error", "nan"], {}, {}, "filter max_rel_error must not be nan",
+            id="max-rel-error-nan",
+        ),
+        pytest.param(
+            FIT + ["--oscillation-threshold", "nan"], {}, {},
+            "filter oscillation_threshold must not be nan", id="oscillation-threshold-nan",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410", "--threshold", "nan"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "expected a finite number, got nan", id="threshold-nan",
+        ),
+        pytest.param(
+            SYNTH + ["--noise-sigma", "nan"], {}, {}, "noise_sigma must be finite and >= 0, got nan",
+            id="noise-sigma-nan",
         ),
     ],
 )

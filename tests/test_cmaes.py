@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 
+from logperiodic import SearchConfig, Window, fit
 from logperiodic.cmaes import minimize_box, minimize_problems
 
 LO, HI = np.zeros(3), np.ones(3)
+# irrational weights: (x @ _ROUGH) % 1 is a deterministic, patternless value in [0, 1)
+_ROUGH = np.array([1e3 * math.sqrt(2.0), 1e3 * math.sqrt(3.0), 1e3 * math.sqrt(5.0)])
 
 
 def _point(x):
@@ -46,8 +49,53 @@ def test_all_inf_objective_spends_the_whole_budget():
     assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
 
 
+def _two_wells(xs):
+    """Global minimum 0 at (0.2, 0.3, 0.3); a local well at (0.85, 0.7, 0.7) floored near 1.
+
+    The well's floor is rough: the roughness keeps the values of a run in the well apart, so TolFun
+    never ends it and its best still creeps down now and then.
+    """
+    d = xs - (0.2, 0.3, 0.3)
+    e = xs - (0.85, 0.7, 0.7)
+    rough = 1e-3 * ((xs @ _ROUGH) % 1.0)
+    return np.minimum(100.0 * np.sum(d * d, axis=1), 1.0 + 100.0 * np.sum(e * e, axis=1) + rough)
+
+
+def test_run_stalled_behind_a_better_run_stops_early():
+    budget = 1 + 7 * ((2000 - 1) // 7)
+    alone, both = (minimize_problems([_two_wells], [LO], [HI], popsize=7, max_evals=2000,
+                                     restarts=r, rngs=[np.random.default_rng(0)])[0]
+                   for r in (1, 2))
+    # run 0 converges in the global basin; run 1 falls into the rough well,
+    # where without the stall rule it spends its whole budget
+    assert alone.cost == both.cost < 1e-10
+    assert alone.evaluations < budget
+    assert both.evaluations - alone.evaluations < budget / 3
+
+
+def test_leading_run_is_never_stopped_for_stalling():
+    # 0 at the start point (the box center) and above 0 elsewhere: the run
+    # never improves on its first value, but it leads, so it spends the budget
+    res = minimize_problems([lambda xs: ((xs - 0.5) @ _ROUGH) % 1.0], [LO], [HI], popsize=7,
+                            max_evals=2000, restarts=1, rngs=[np.random.default_rng(0)])[0]
+    assert res.cost == 0.0
+    assert res.evaluations == 1 + 7 * ((2000 - 1) // 7)
+
+
+def test_single_restart_fit_is_pinned(strong_bubble):
+    # with one restart every run leads its problem, so the stall rule never
+    # fires; these are the values of the fit before the rule existed
+    _, series = strong_bubble
+    res = fit(series, Window(300, 419), SearchConfig(seed=5, restarts=1))
+    assert res.evaluations == 967
+    assert res.cost.hex() == "0x1.287bb3282fe4ep-9"
+
+
 def test_restart_streams_nest():
-    # run r draws from its own child stream, so adding runs only adds trajectories
+    # run r draws from its own child stream, so adding runs only adds trajectories.
+    # The stall rule cannot cut a run short here: on a convex quadratic a run
+    # keeps lowering its best until TolFun or TolX ends it, so no run sits
+    # stalled behind a better sibling.
     runs = [minimize_problems([_population], [LO], [HI], popsize=7, max_evals=2000, restarts=r,
                               rngs=[np.random.default_rng(11)])[0]
             for r in range(1, 6)]
@@ -67,7 +115,8 @@ def test_one_call_per_generation_for_all_running_restarts():
 
     res = minimize_problems([recording], [LO], [HI], popsize=lam, max_evals=2000,
                             restarts=restarts, rngs=[np.random.default_rng(11)])[0]
-    # per-run evaluations, from the nesting of the restart streams
+    # per-run evaluations, from the nesting of the restart streams (which the
+    # stall rule leaves intact on a convex quadratic: no run stalls behind another)
     totals = [0] + [minimize_problems([_population], [LO], [HI], popsize=lam, max_evals=2000,
                                       restarts=r, rngs=[np.random.default_rng(11)])[0].evaluations
                     for r in range(1, restarts + 1)]

@@ -177,6 +177,10 @@ def test_scan_rejects_bad_ranges(bubble_series):
         scan(bubble_series, 100, 200, 0, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
     with pytest.raises(ValidationError):
         scan(bubble_series, 100, 10_000, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
+    with pytest.raises(ValidationError, match="base_seed"):
+        scan(bubble_series, 150, 150, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=-1)
+    with pytest.raises(ValidationError, match="base_seed"):
+        confidence_at(bubble_series, 150, SMALL_SCHEME, FAST_SEARCH, base_seed=-1)
 
 
 def test_pure_exponential_has_zero_indicator():

@@ -324,3 +324,7 @@ def test_filter_config_validation():
         FilterConfig(lomb_alpha=0.0)
     with pytest.raises(ValidationError):
         FilterConfig(max_rel_error=0.0)
+    for f in dataclasses.fields(FilterConfig):
+        with pytest.raises(ValidationError, match=f.name):
+            FilterConfig(**{f.name: math.nan})
+    FilterConfig(max_rel_error=math.inf, omega_max=math.inf)  # inf stays allowed: it switches a bound off

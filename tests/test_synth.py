@@ -61,8 +61,11 @@ def test_spec_validation():
     p = bubble_params(220.0, 0.5, 10.0)
     with pytest.raises(ValidationError):
         SynthSpec(params=p, n=1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SynthSpec(params=p, n=100, noise_sigma=sigma)
     with pytest.raises(ValidationError):
-        SynthSpec(params=p, n=100, noise_sigma=-0.1)
+        SynthSpec(params=p, n=100, noise_sigma=0.01, seed=-1)
     with pytest.raises(ValidationError):
         SynthSpec(params=p, n=100, noise_phi=1.0)
     with pytest.raises(ValidationError):
