@@ -169,7 +169,14 @@ def _profile(t: np.ndarray, y: np.ndarray, points,
         np.divide(x[:, 1], scale, out=scale)
         np.multiply(np.subtract(1.0, u2, out=u2), scale, out=x[:, 2])
         np.multiply(np.multiply(u, 2.0, out=u), scale, out=x[:, 3])
-        gram = x @ x.transpose(0, 2, 1)
+        # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
+        # hands numpy one buffer twice, and it then calls syrk per 4x4
+        # matrix, several times slower than gemm for long windows. The
+        # matrix comes out exactly symmetric; its corner is a sum of n ones.
+        gram = np.empty((k, 4, 4))
+        np.matmul(x[:, 1:], x.transpose(0, 2, 1), out=gram[:, 1:])
+        gram[:, 0, 1:] = gram[:, 1:, 0]
+        gram[:, 0, 0] = t.size
         ok &= np.isfinite(gram).all(axis=(1, 2))
         # Rejected rows are swapped for the identity, so eigvalsh and solve
         # never see inf/nan or a singular matrix from a neighbour.

@@ -86,6 +86,9 @@ class _RunFields:
             except ValueError:
                 raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
             return _check_setting("workers", workers, WORKERS_ENV)
+        # the CPUs this process may run on, not all the machine's CPUs
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

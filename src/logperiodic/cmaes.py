@@ -140,9 +140,13 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
     evals = 1  # per running run: they all started together
     gen = 0
 
+    z_all = np.empty((runs, lam, n))  # the draws of the running runs, in ids order
+
     while ids.size and evals + lam <= max_evals:
         sqrt_d = np.sqrt(eigvals)
-        z = np.stack([rngs[i].standard_normal((lam, n)) for i in ids])
+        z = z_all[:ids.size]
+        for j, i in enumerate(ids.tolist()):
+            rngs[i].standard_normal(out=z[j])
         y = z @ (eigvecs * sqrt_d[:, None, :]).transpose(0, 2, 1)  # y_k ~ N(0, C)
         x = mean[:, None, :] + sigma[:, None, None] * y
         x_clip = np.clip(x, 0.0, 1.0)
@@ -162,7 +166,7 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
         fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
 
         order = np.argsort(fitness, axis=1, kind="stable")
-        y_sel = np.take_along_axis(y, order[:, :mu, None], axis=1)
+        y_sel = y[rows[:, None], order[:, :mu]]
         y_w = weights @ y_sel
         mean = mean + sigma[:, None] * y_w
 
@@ -197,10 +201,15 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
         stop = np.zeros(ids.size, dtype=bool)
         if gen >= recent_best.shape[1]:
             check = finite.all(axis=1)
-            values = np.concatenate((fitness[check], recent_best[ids[check]]), axis=1)
-            stop[check] = values.max(axis=1) - values.min(axis=1) < _TOL_FUN
-        stop |= ((sigma[:, None] * np.abs(p_c) < tol_x).all(axis=1)
-                 & (sigma[:, None] * np.sqrt(np.diagonal(cov, axis1=1, axis2=2)) < tol_x).all(axis=1))
+            history = recent_best[ids[check]]
+            top = np.maximum(fitness[check].max(axis=1), history.max(axis=1))
+            bottom = np.minimum(fitness[check].min(axis=1), history.min(axis=1))
+            stop[check] = top - bottom < _TOL_FUN
+        # TolX in every coordinate is TolX of the largest one: sqrt and the
+        # rounded product with sigma > 0 are monotone, so no bit moves
+        spread = np.maximum(np.abs(p_c).max(axis=1),
+                            np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
+        stop |= sigma * spread < tol_x
         stop |= ~np.isfinite(sigma) | (sigma > 1e6)
         # stall: no new best for a TolFun history, behind its problem's leader
         leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]

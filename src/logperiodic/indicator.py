@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,6 +156,10 @@ def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, worker
             seeds = [window_seed(base_seed, t2, w.length) for w in chunk]
             tasks.append((series, chunk, search_cfg, seeds, filter_cfg))
     if workers is not None and workers > 1 and len(tasks) > 1:
+        # imported here: it loads multiprocessing, which a serial run and
+        # every CLI call that runs no pool would pay for at import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_task, tasks))  # pool.map keeps task order
     else:

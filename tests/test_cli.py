@@ -224,6 +224,14 @@ def test_workers_env_var(bubble_csv, tmp_path, monkeypatch, capsys):
     assert embedded["workers"] == 1
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to 2 of 64 CPUs starts 2 workers, not 64
+    monkeypatch.delenv("LOGPERIODIC_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert RunConfig().resolved_workers() == 2
+
+
 def test_fit_with_overflowing_m_box_ends_in_a_fit(bubble_csv, capsys):
     path, _ = bubble_csv
     code = main([
@@ -452,11 +460,14 @@ def test_exit_codes_end_without_traceback(argv, expected, bubble_csv, tmp_path, 
 
 def test_cold_import_loads_no_scipy():
     # Importing scipy.signal alone takes over a second, which every CLI call
-    # and pool worker would pay; the library must not pull scipy in.
+    # and pool worker would pay; the library must not pull scipy in. The
+    # process pool and its multiprocessing modules load only when a scan
+    # starts a pool.
     src = str(Path(logperiodic.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import sys, logperiodic, logperiodic.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
