@@ -125,8 +125,8 @@ def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, 4, n)), np.empty((4, rows, n))
 
 
-def _profile(t: np.ndarray, y: np.ndarray, points,
-             scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile(t: np.ndarray, y: np.ndarray, points, scratch=None,
+             refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profiled least squares for a batch of (tc, m, omega) rows.
 
     `points` is a (k, 3) array. For each row the design matrix is
@@ -137,6 +137,12 @@ def _profile(t: np.ndarray, y: np.ndarray, points,
     exceeds the window end, its normal matrix is finite, and the matrix's
     condition estimate is at most _COND_CAP. Rejected rows have sse = +inf
     and an undefined beta; they never change the other rows.
+
+    With `refine`, beta takes one refinement step against the residual.
+    The sse is taken before it either way: it is the minimum of a
+    quadratic, so beta's error moves it only at second order, and the
+    search's objective, which needs no more than the sse and the damping
+    ratio, skips the step.
 
     The large intermediates are written into `scratch`, a _scratch of at
     least k rows for this window, or into fresh arrays when it is None.
@@ -188,14 +194,19 @@ def _profile(t: np.ndarray, y: np.ndarray, points,
         np.matmul(beta[:, None, :], x, out=fit[:, None, :])
         resid = np.subtract(y, fit, out=fit)
         sse = np.einsum("kn,kn->k", resid, resid)
+        if refine:
+            # One refinement step, beta += G^-1 X^T r (the corrected
+            # seminormal equations): the normal-equation solve alone errs by
+            # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
+            beta += np.linalg.solve(gram, x @ resid[..., None])[..., 0]
     return beta, np.where(ok, sse, np.inf), ok
 
 
-def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
+def _profile_one(t, y, tc, m, omega, refine=True) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse, ok = _profile(t, y, [(tc, m, omega)])
+    beta, sse, ok = _profile(t, y, [(tc, m, omega)], refine=refine)
     if not ok[0]:
         raise DegenerateBasisError(
             f"normal matrix not finite or condition above {_COND_CAP:g} "
@@ -220,7 +231,7 @@ def linear_solve(series: PriceSeries, window: Window, tc: float, m: float, omega
 def cost(series: PriceSeries, window: Window, tc: float, m: float, omega: float) -> float:
     """Profiled cost: residual SSE at the linear_solve minimizer."""
     t, y = _window_arrays(series, window)
-    _, sse = _profile_one(t, y, tc, m, omega)
+    _, sse = _profile_one(t, y, tc, m, omega, refine=False)
     return sse
 
 
@@ -237,7 +248,7 @@ def _objective(t, y, cfg: SearchConfig):
         nonlocal scratch
         if scratch is None or len(scratch[0]) < len(points):
             scratch = _scratch(len(points), t.size)
-        beta, sse, _ = _profile(t, y, points, scratch)
+        beta, sse, _ = _profile(t, y, points, scratch, refine=False)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

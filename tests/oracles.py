@@ -40,6 +40,20 @@ def dense_normal_solve(t, y, tc, m, omega):
     return np.linalg.solve(lhs, rhs)
 
 
+def svd_least_squares(t, y, tc, m, omega):
+    """(A, B, C1, C2) from an SVD least-squares solve of the design matrix itself.
+
+    It never forms the normal matrix, so its error follows cond(X), the
+    square root of the normal matrix's condition number.
+    """
+    rows = []
+    for ti in map(float, t):
+        fi = (tc - ti) ** m
+        phase = omega * math.log(tc - ti)
+        rows.append([1.0, fi, fi * math.cos(phase), fi * math.sin(phase)])
+    return np.linalg.lstsq(np.array(rows), np.asarray(y, dtype=float), rcond=None)[0]
+
+
 def residual_sum_of_squares(t, y, tc, m, omega, a, b, c1, c2):
     """Direct evaluation of the squared-residual objective at given parameters."""
     total = 0.0
