@@ -202,11 +202,11 @@ def _profile(t: np.ndarray, y: np.ndarray, points, scratch=None,
     return beta, np.where(ok, sse, np.inf), ok
 
 
-def _profile_one(t, y, tc, m, omega, refine=True) -> tuple[np.ndarray, float]:
+def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse, ok = _profile(t, y, [(tc, m, omega)], refine=refine)
+    beta, sse, ok = _profile(t, y, [(tc, m, omega)])
     if not ok[0]:
         raise DegenerateBasisError(
             f"normal matrix not finite or condition above {_COND_CAP:g} "
@@ -229,9 +229,9 @@ def linear_solve(series: PriceSeries, window: Window, tc: float, m: float, omega
 
 
 def cost(series: PriceSeries, window: Window, tc: float, m: float, omega: float) -> float:
-    """Profiled cost: residual SSE at the linear_solve minimizer."""
+    """Profiled cost: the residual SSE minimized over (A, B, C1, C2)."""
     t, y = _window_arrays(series, window)
-    _, sse = _profile_one(t, y, tc, m, omega, refine=False)
+    _, sse = _profile_one(t, y, tc, m, omega)
     return sse
 
 

@@ -88,8 +88,12 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
     t, y = _window_arrays(NOISY, w)
     points = _batch(w, rows)
     beta, sse, ok = _profile(t, y, points)
+    # the search's objective reads the unrefined beta for its damping floor
+    raw_beta, raw_sse, raw_ok = _profile(t, y, points, refine=False)
+    assert np.array_equal(raw_ok, ok) and np.array_equal(raw_sse, sse)
     for k, (kind, *_) in enumerate(rows):
         one_beta, one_sse, one_ok = _profile(t, y, points[k : k + 1])
+        one_raw_beta = _profile(t, y, points[k : k + 1], refine=False)[0]
         assert ok[k] == one_ok[0]
         if kind != "admissible":
             assert not ok[k]
@@ -97,10 +101,12 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
             assert sse[k] == np.inf
             continue
         np.testing.assert_allclose(beta[k], one_beta[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(raw_beta[k], one_raw_beta[0], rtol=1e-12, atol=0.0)
         assert sse[k] == pytest.approx(one_sse[0], rel=1e-12, abs=0.0)
         want = svd_least_squares(t, y, *points[k])
         assert np.max(np.abs(beta[k] - want) / np.maximum(np.abs(want), 1e-10)) <= 1e-8
-        assert sse[k] == pytest.approx(residual_sum_of_squares(t, y, *points[k], *beta[k]), rel=1e-9)
+        for b in (beta[k], raw_beta[k]):
+            assert sse[k] == pytest.approx(residual_sum_of_squares(t, y, *points[k], *b), rel=1e-9)
 
 
 @settings(max_examples=10, deadline=None)
@@ -110,10 +116,17 @@ def test_objective_scratch_never_leaks_between_calls(big, small):
     # stale rows in its scratch, and the next 35-row call must not see them.
     w = Window(679 - 649, 679)
     t, y = _window_arrays(LONG, w)
-    func = _objective(t, y, SearchConfig(damping_floor=0.0))
+    plain = _objective(t, y, SearchConfig(damping_floor=0.0))
+    floored = _objective(t, y, SearchConfig())
     for rows in (big, small, big):
         points = _batch(w, [(ROW_KINDS[i % len(ROW_KINDS)], *row) for i, row in enumerate(rows)])
-        assert np.array_equal(func(points), _profile(t, y, points)[1])
+        sse = _profile(t, y, points)[1]
+        assert np.array_equal(plain(points), sse)
+        # the damping floor only rejects rows, the same ones as a fresh closure
+        got = floored(points)
+        assert np.array_equal(got, _objective(t, y, SearchConfig())(points))
+        kept = np.isfinite(got)
+        assert np.array_equal(got[kept], sse[kept])
 
 
 @settings(max_examples=50, deadline=None)
