@@ -52,4 +52,4 @@ p = result.params
 print(f"  tc    = {p.tc:10.4f}   (true {truth.tc})")
 print(f"  m     = {p.m:10.4f}   (true {truth.m})")
 print(f"  omega = {p.omega:10.4f}   (true {truth.omega})")
-print(f"  cost  = {result.cost:.3e} over {result.n_points} points, {result.evaluations} evaluations")
+print(f"  cost  = {result.cost:.3e} over {window.length} points, {result.evaluations} evaluations")

@@ -99,8 +99,6 @@ class FitResult:
 
     params: LpplsParams
     cost: float
-    n_points: int
-    converged: bool
     evaluations: int
 
 
@@ -261,14 +259,13 @@ def _objective(t, y, cfg: SearchConfig):
     return func
 
 
-def _result_at(t, y, tc, m, omega, n_points, evaluations) -> FitResult:
+def _result_at(t, y, tc, m, omega, evaluations) -> FitResult:
     beta, sse = _profile_one(t, y, tc, m, omega)
     params = LpplsParams(
         tc=float(tc), m=float(m), omega=float(omega),
         A=float(beta[0]), B=float(beta[1]), C1=float(beta[2]), C2=float(beta[3]),
     )
-    return FitResult(params=params, cost=sse, n_points=n_points,
-                     converged=True, evaluations=evaluations)
+    return FitResult(params=params, cost=sse, evaluations=evaluations)
 
 
 def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig()) -> FitResult:
@@ -313,7 +310,7 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
     for window, (t, y), found in zip(windows, arrays, searches):
         if math.isfinite(found.cost):
             tc, m, omega = found.x
-            results.append(_result_at(t, y, tc, m, omega, window.length, found.evaluations))
+            results.append(_result_at(t, y, tc, m, omega, found.evaluations))
         else:
             results.append(FitFailedError(
                 f"no admissible fit in window [{window.t1}, {window.t2}] "

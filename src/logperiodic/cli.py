@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 validation, 5 computation.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import datetime as _dt
 import enum
@@ -53,7 +54,7 @@ class _RunFields:
     t2_first: int | None = None
     t2_last: int | None = None
     t2_step: int = 1
-    seed: int | None = None
+    seed: int = calibrate.SearchConfig.seed
     output: str | None = None
     format: str | None = None
     workers: int | None = None
@@ -62,8 +63,7 @@ class _RunFields:
         return {f.name: getattr(self, key) for key, (owner, f) in _LIBRARY_FIELDS.items() if owner is cls}
 
     def search_config(self) -> calibrate.SearchConfig:
-        seed = self.seed if self.seed is not None else 0
-        return calibrate.SearchConfig(**self._library_values(calibrate.SearchConfig), seed=seed)
+        return calibrate.SearchConfig(**self._library_values(calibrate.SearchConfig), seed=self.seed)
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(**self._library_values(FilterConfig))
@@ -177,7 +177,6 @@ def config_dict(cfg: RunConfig) -> dict:
     """The recorded config; `workers` is as given, since only scan resolves it."""
     out = dataclasses.asdict(cfg)
     out["threshold"] = cfg.resolved_threshold()
-    out["seed"] = cfg.seed if cfg.seed is not None else 0
     return out
 
 
@@ -234,7 +233,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         params=params,
         n=args.n,
         noise_sigma=args.noise_sigma,
-        seed=cfg.seed if cfg.seed is not None else 0,
+        seed=cfg.seed,
         noise_phi=args.noise_phi,
         start_date=_iso_date(args.start_date, "--start-date"),
     )
@@ -249,11 +248,7 @@ def _fit_payload(cfg, window, result, report):
     return {
         "config": config_dict(cfg),
         "window": {"t1": window.t1, "t2": window.t2, "length": window.length},
-        "params": dataclasses.asdict(result.params),
-        "cost": result.cost,
-        "n_points": result.n_points,
-        "converged": result.converged,
-        "evaluations": result.evaluations,
+        **dataclasses.asdict(result),
         "qualification": qualification,
         "sign": sign,
     }
@@ -360,15 +355,16 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
     target = _iso_date(raw, "review bound")
     if loaded.dates is None:
         raise ValidationError("series has no dates; use integer review bounds")
+    # the dates are validated as strictly increasing
     if is_start:
-        for i, d in enumerate(loaded.dates):
-            if d >= target:
-                return i
-        raise ValidationError(f"review start {raw} is after the last observation")
-    for i in range(len(loaded) - 1, -1, -1):
-        if loaded.dates[i] <= target:
-            return i
-    raise ValidationError(f"review end {raw} is before the first observation")
+        i = bisect.bisect_left(loaded.dates, target)
+        if i == len(loaded.dates):
+            raise ValidationError(f"review start {raw} is after the last observation")
+        return i
+    i = bisect.bisect_right(loaded.dates, target) - 1
+    if i < 0:
+        raise ValidationError(f"review end {raw} is before the first observation")
+    return i
 
 
 def cmd_classify(cfg: RunConfig, args) -> int:
@@ -419,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--C1", type=float, default=0.0)
     p_synth.add_argument("--C2", type=float, default=0.0)
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
-    p_synth.add_argument("--noise-phi", dest="noise_phi", type=float, default=0.0)
-    p_synth.add_argument("--start-date", dest="start_date", default="2000-01-03")
+    spec = synth_mod.SynthSpec
+    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=spec.noise_sigma)
+    p_synth.add_argument("--noise-phi", dest="noise_phi", type=float, default=spec.noise_phi)
+    p_synth.add_argument("--start-date", dest="start_date", default=spec.start_date.isoformat())
     p_synth.set_defaults(handler=cmd_synth)
 
     p_fit = sub.add_parser("fit", help="calibrate and qualify one window")

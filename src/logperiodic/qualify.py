@@ -68,6 +68,9 @@ class FilterConfig:
         for f in fields(self):
             if math.isnan(getattr(self, f.name)):
                 raise ValidationError(f"filter {f.name} must not be nan")
+        if self.m_min > self.m_max or self.omega_min > self.omega_max:
+            raise ValidationError(f"filter ranges must not be empty, got m in [{self.m_min}, {self.m_max}]"
+                                  f" and omega in [{self.omega_min}, {self.omega_max}]")
         if self.oscillation_threshold <= 0 or self.oscillation_divisor <= 0:
             raise ValidationError("oscillation threshold and divisor must be positive")
         if not 0 < self.lomb_alpha < 1 or not 0 < self.ou_alpha < 1:

@@ -121,4 +121,4 @@ def grid_oracle(series, window, grid_spec, cfg=SearchConfig()):
     if best[1] is None:
         raise FitFailedError(f"no admissible grid point among {evals}")
     tc, m, omega = best[1]
-    return _result_at(t, y, tc, m, omega, window.length, evals)
+    return _result_at(t, y, tc, m, omega, evals)

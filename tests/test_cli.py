@@ -1,3 +1,4 @@
+import datetime
 import json
 import os
 import subprocess
@@ -95,7 +96,7 @@ def test_fit_reports_qualified_bubble(bubble_csv, tmp_path, capsys):
     assert report["params"]["B"] < 0
     assert report["window"] == {"t1": 320, "t2": 419, "length": 100}
     assert report["config"]["seed"] == 0
-    assert report["n_points"] == 100
+    assert report.keys() == {"config", "window", "params", "cost", "evaluations", "qualification", "sign"}
 
 
 def test_fit_window_outside_series_is_validation_error(bubble_csv, capsys):
@@ -190,6 +191,32 @@ def test_classify_from_scan_table(bubble_csv, tmp_path):
     ])
     assert code == 0
     assert json.loads(out.read_text(encoding="utf-8"))["crash_type"] == "Endogenous"
+
+
+def test_classify_date_bounds_snap_to_trading_days(bubble_csv, tmp_path, capsys):
+    path, series = bubble_csv
+    table = tmp_path / "scan.csv"
+    table.write_text(SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n", encoding="utf-8")
+    first = next(i for i in range(411, 470) if series.dates[i].weekday() == 0)  # a Monday
+    last = next(i for i in range(469, 420, -1) if series.dates[i].weekday() == 4)  # a Friday
+    saturday_before_first = series.dates[first] - datetime.timedelta(days=2)
+    saturday_after_last = series.dates[last] + datetime.timedelta(days=1)
+    base = ["classify", "--input", str(path), "--scan-table", str(table)]
+    code = main(base + ["--review-first", saturday_before_first.isoformat(),
+                        "--review-last", saturday_after_last.isoformat()])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["review"] == {"first": first, "last": last}
+
+    after_last = (series.dates[-1] + datetime.timedelta(days=1)).isoformat()
+    before_first = (series.dates[0] - datetime.timedelta(days=1)).isoformat()
+    for bounds, message in (
+        (["--review-first", after_last, "--review-last", "470"], "is after the last observation"),
+        (["--review-first", "410", "--review-last", before_first], "is before the first observation"),
+    ):
+        assert main(base + bounds) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_classify_review_outside_table_is_validation_error(bubble_csv, tmp_path, capsys):
@@ -405,6 +432,10 @@ def test_default_threshold_follows_the_stride():
             SYNTH + ["--noise-sigma", "nan"], {}, {}, "noise_sigma must be finite and >= 0, got nan",
             id="noise-sigma-nan",
         ),
+        pytest.param(
+            FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "filter_omega_min = 30\n"}, {},
+            "filter ranges must not be empty", id="filter-omega-empty-config",
+        ),
     ],
 )
 def test_malformed_input_is_one_line_validation_error(
@@ -437,6 +468,8 @@ def test_malformed_input_is_one_line_validation_error(
         pytest.param(["fit", "--input", "{csv}", "--t1", "320", "--t2", "419", "--damping-floor", "1e12",
                       "--max-evaluations", "100", "--restarts", "1", "--seed", "0"], 5,
                      id="fit-without-admissible-candidate"),
+        pytest.param(["fit", "--input", "{csv}", "--t1", "320", "--t2", "419",
+                      "--filter-m-min", "0.9", "--filter-m-max", "0.1"], 4, id="fit-with-empty-filter-range"),
         pytest.param(["fit", "--input", "{csv}", "--t1", "320"], 2, id="missing-required-flag"),
         pytest.param(["scan", "--input", "{csv}", "--t2-first", "419", "--t2-last", "419"], 2,
                      id="scan-without-seed"),

@@ -246,8 +246,8 @@ def test_ou_test_recovers_noise_phi():
 # --- full battery --------------------------------------------------------
 
 
-def _fit_result(params, n_points=100):
-    return FitResult(params=params, cost=0.0, n_points=n_points, converged=True, evaluations=1)
+def _fit_result(params):
+    return FitResult(params=params, cost=0.0, evaluations=1)
 
 
 def test_qualify_end_to_end_positive(strong_bubble):
@@ -324,6 +324,11 @@ def test_filter_config_validation():
         FilterConfig(lomb_alpha=0.0)
     with pytest.raises(ValidationError):
         FilterConfig(max_rel_error=0.0)
+    with pytest.raises(ValidationError, match="must not be empty"):
+        FilterConfig(m_min=0.9, m_max=0.1)
+    with pytest.raises(ValidationError, match="must not be empty"):
+        FilterConfig(omega_min=30.0, omega_max=20.0)
+    FilterConfig(m_min=0.5, m_max=0.5)  # a one-point range is not empty
     for f in dataclasses.fields(FilterConfig):
         with pytest.raises(ValidationError, match=f.name):
             FilterConfig(**{f.name: math.nan})

@@ -1,0 +1,87 @@
+#!/bin/sh
+# Run a fixed set of CLI commands against one source tree and keep every
+# output, so two trees can be compared byte for byte:
+#
+#   sh tools/cli_snapshot.sh <src-dir> <out-dir>
+#   diff -r <out-dir-a> <out-dir-b>
+#
+# <src-dir> is the directory that holds the `logperiodic` package (a
+# checkout's `src`); <out-dir> must not exist yet. Each command's stdout and
+# stderr go to <name>.out and <name>.err, the files it writes keep their
+# names, and exit_codes.txt lists `<name> <exit code>` per command. The
+# commands run inside <out-dir> with relative paths, so the configuration
+# each output embeds is the same whatever the directory is called.
+set -eu
+
+if [ $# -ne 2 ]; then
+    echo "usage: sh tools/cli_snapshot.sh <src-dir> <out-dir>" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir "$2"
+cd "$2"
+
+PYTHON=${PYTHON:-python3}
+export PYTHONPATH="$src" COLUMNS=80
+unset LOGPERIODIC_WORKERS
+
+# run <name> <arg>...: one CLI call, its streams and its exit code
+run() {
+    name=$1
+    shift
+    code=0
+    "$PYTHON" -m logperiodic "$@" >"$name.out" 2>"$name.err" || code=$?
+    echo "$name $code" >>exit_codes.txt
+}
+
+SCAN_SMALL="--max-window 120 --min-window 40 --window-step 20 --max-evaluations 600 --restarts 2"
+FAST="--max-evaluations 1200 --restarts 3"
+
+run synth synth --tc 430 --m 0.5 --omega 8 --A 8 --B -0.8 --C1 0.027 --C2 0.036 \
+    --n 420 --noise-sigma 0.004 --noise-phi 0.4 --seed 11 --output bubble.csv
+run synth_defaults synth --tc 430 --m 0.5 --omega 8 --A 8 --B -0.8 --n 100
+run resample resample --input bubble.csv --stride 5 --output weekly.csv
+run ingest ingest --input weekly.csv
+
+# shellcheck disable=SC2086
+run scan_csv scan --input bubble.csv $SCAN_SMALL \
+    --t2-first 409 --t2-last 419 --t2-step 5 --seed 42 --workers 2 --output scan.csv
+# shellcheck disable=SC2086
+run scan_json scan --input bubble.csv $SCAN_SMALL --t2-first 409 --t2-last 419 --t2-step 5 \
+    --seed 42 --workers 1 --format json --filter-m-max 0.9 --lomb-alpha 0.1 --output scan.json
+
+printf 'max_evaluations = 1200\nrestarts = 3\nfilter_m_max = 0.9\n' >fit.cfg
+run fit_defaults fit --input bubble.csv --t1 320 --t2 419 --output fit_defaults.json
+run fit_config fit --input bubble.csv --t1 320 --t2 419 --config fit.cfg --output fit_config.json
+run fit_long fit --input bubble.csv --t1 120 --t2 419 --seed 3 --output fit_long.json
+run fit_outside fit --input bubble.csv --t1 0 --t2 9999 --seed 1
+
+# the 420-point bubble followed by a 60-step decline
+"$PYTHON" - <<'EOF'
+import numpy as np
+from logperiodic import PriceSeries, emit_csv, ingest
+from logperiodic.synth import trading_dates
+
+with open("bubble.csv", encoding="utf-8") as handle:
+    bubble = ingest(handle.read())
+rng = np.random.default_rng(99)
+post = bubble.log_prices[-1] + np.cumsum(-0.01 + 0.01 * rng.standard_normal(60))
+prices = np.exp(np.concatenate([bubble.log_prices, post]))
+crash = PriceSeries(prices, trading_dates(bubble.dates[0], 480), 1)
+with open("crash.csv", "w", encoding="utf-8") as handle:
+    handle.write(emit_csv(crash))
+EOF
+# shellcheck disable=SC2086
+run crash_scan scan --input crash.csv --max-window 120 --min-window 40 --window-step 20 $FAST \
+    --t2-first 415 --t2-last 425 --t2-step 5 --seed 42 --workers 2 --output crash_scan.csv
+run classify_index classify --input crash.csv --scan-table crash_scan.csv \
+    --review-first 410 --review-last 470
+first=$("$PYTHON" -c "from logperiodic import ingest; print(ingest(open('crash.csv').read()).dates[410])")
+last=$("$PYTHON" -c "from logperiodic import ingest; print(ingest(open('crash.csv').read()).dates[470])")
+run classify_dates classify --input crash.csv --scan-table crash_scan.csv \
+    --review-first "$first" --review-last "$last"
+
+run help --help
+for command in ingest resample synth fit scan classify; do
+    run "help_$command" "$command" --help
+done
