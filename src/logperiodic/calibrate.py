@@ -110,93 +110,146 @@ def _window_arrays(series: PriceSeries, window: Window) -> tuple[np.ndarray, np.
     return t, y
 
 
-# Largest accepted condition estimate (eigenvalue ratio) of the 4x4 normal matrix.
+# Largest accepted pivot ratio max(d) / min(d) of the LDL^T factor of the 4x4
+# normal matrix; it bounds the matrix's condition number from below.
 _COND_CAP = 1e12
-_EYE4 = np.eye(4)
 
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Work arrays of _profile for up to `rows` rows of n points.
+    """Work arrays of _profile for up to `rows` rows of one window of n points.
 
     They are the (rows, 4, n) design matrices and four (rows, n) temporaries.
     """
     return np.empty((rows, 4, n)), np.empty((4, rows, n))
 
 
-def _profile(t: np.ndarray, y: np.ndarray, points, scratch=None,
-             refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profiled least squares for a batch of (tc, m, omega) rows.
+def _ldl(gram):
+    """LDL^T factor of each row's symmetric 4x4 matrix of the (K, 4, 4) gram.
 
-    `points` is a (k, 3) array. For each row the design matrix is
-    [1, f, g, h] with f=(tc-t)^m, g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)),
-    and the result is (beta, sse, ok): the (k, 4) least-squares
-    (A, B, C1, C2) from the normal system, the (k,) residual sums of
-    squares, and the (k,) admissible mask. A row is admissible when tc
-    exceeds the window end, its normal matrix is finite, and the matrix's
-    condition estimate is at most _COND_CAP. Rejected rows have sse = +inf
-    and an undefined beta; they never change the other rows.
-
-    With `refine`, beta takes one refinement step against the residual.
-    The sse is taken before it either way: it is the minimum of a
-    quadratic, so beta's error moves it only at second order, and the
-    search's objective, which needs no more than the sse and the damping
-    ratio, skips the step.
-
-    The large intermediates are written into `scratch`, a _scratch of at
-    least k rows for this window, or into fresh arrays when it is None.
-    Every row read is written first, so the result does not depend on what
-    the scratch held.
+    Returns (lower, d): lower[i][j] for i > j are the (K,) multipliers of
+    the unit lower triangle, d the (4, K) pivots. Cholesky without
+    pivoting in +, -, x and / only (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 10), so a row's bits do not depend on the
+    other rows of its batch.
     """
-    tc, m, omega = np.asarray(points, dtype=float).T
-    k = tc.size
-    if scratch is None:
-        scratch = _scratch(k, t.size)
-    x = scratch[0][:k]
-    ldt, u, scale, fit = scratch[1][:, :k]
+    lower = [[None] * 4 for _ in range(4)]
+    w = [[None] * 4 for _ in range(4)]  # w[i][j] = lower[i][j] * d[j]
+    d = np.empty((4, len(gram)))
+    for j in range(4):
+        for i in range(j, 4):
+            s = gram[:, i, j]
+            for k in range(j):
+                s = s - lower[i][k] * w[j][k]
+            w[i][j] = s
+        d[j] = w[j][j]
+        for i in range(j + 1, 4):
+            lower[i][j] = w[i][j] / d[j]
+    return lower, d
+
+
+def _ldl_solve(lower, d, rhs):
+    """Solutions of the (K, 4) right-hand sides rhs under an _ldl factor."""
+    z = []
+    for i in range(4):
+        s = rhs[:, i]
+        for k in range(i):
+            s = s - lower[i][k] * z[k]
+        z.append(s)
+    x = [None] * 4
+    for i in reversed(range(4)):
+        s = z[i] / d[i]
+        for k in range(i + 1, 4):
+            s = s - lower[k][i] * x[k]
+        x[i] = s
+    return np.stack(x, axis=1)
+
+
+def _profile(arrays, points, parts, scratches=None,
+             refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
+
+    `points` is a (K, 3) array and `parts` lists (p, lo, hi): rows
+    points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
+    row the design matrix is [1, f, g, h] with f=(tc-t)^m,
+    g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)), and the result is
+    (beta, sse, ok): the (K, 4) least-squares (A, B, C1, C2)
+    from the normal system, the (K,) residual sums of squares, and the
+    (K,) admissible mask. A row is admissible when tc exceeds its window's
+    end, its normal matrix is finite, and the LDL^T pivots of that matrix
+    are positive with a ratio max/min of at most _COND_CAP. Rejected rows
+    have sse = +inf and an undefined beta; they never change the other rows.
+
+    Each window's rows get their own elementwise pass and gemm; one batched
+    LDL^T then factors, checks and solves the normal systems of all K rows.
+    With `refine`, beta takes one refinement step against the residual,
+    under the same factor. The sse is taken before it either way: it is the
+    minimum of a quadratic, so beta's error moves it only at second order,
+    and the search's objective, which needs no more than the sse and the
+    damping ratio, skips the step.
+
+    The large intermediates are written into scratches[p], a _scratch of at
+    least as many rows as window p has here, or into fresh arrays when
+    `scratches` is None. Every row read is written first, so the result
+    does not depend on what the scratch held.
+    """
+    points = np.asarray(points, dtype=float)
+    gram = np.empty((len(points), 4, 4))
+    rhs = np.empty((len(points), 4))
+    ok = np.empty(len(points), dtype=bool)
+    sse = np.empty(len(points))
+    designs = []
     # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
-    # powers); the mask rejects them, so their warnings are noise.
+    # powers, a zero pivot); the mask rejects them, so their warnings are noise.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.subtract(tc[:, None], t, out=ldt)
-        ok = ldt[:, -1] > 0.0
-        np.log(ldt, out=ldt)
-        x[:, 0] = 1.0
-        np.multiply(m[:, None], ldt, out=x[:, 1])
-        np.exp(x[:, 1], out=x[:, 1])
-        # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
-        # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
-        # the rounding stays at machine epsilon, and one tan costs less than
-        # a cos plus a sin.
-        np.multiply(0.5 * omega[:, None], ldt, out=u)
-        np.tan(u, out=u)
-        u2 = np.multiply(u, u, out=ldt)
-        np.add(u2, 1.0, out=scale)
-        np.divide(x[:, 1], scale, out=scale)
-        np.multiply(np.subtract(1.0, u2, out=u2), scale, out=x[:, 2])
-        np.multiply(np.multiply(u, 2.0, out=u), scale, out=x[:, 3])
-        # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
-        # hands numpy one buffer twice, and it then calls syrk per 4x4
-        # matrix, several times slower than gemm for long windows. The
-        # matrix comes out exactly symmetric; its corner is a sum of n ones.
-        gram = np.empty((k, 4, 4))
-        np.matmul(x[:, 1:], x.transpose(0, 2, 1), out=gram[:, 1:])
-        gram[:, 0, 1:] = gram[:, 1:, 0]
-        gram[:, 0, 0] = t.size
+        for p, lo, hi in parts:
+            t, y = arrays[p]
+            tc, m, omega = points[lo:hi].T
+            k = hi - lo
+            scratch = _scratch(k, t.size) if scratches is None else scratches[p]
+            x = scratch[0][:k]
+            ldt, u, scale, fit = scratch[1][:, :k]
+            np.subtract(tc[:, None], t, out=ldt)
+            np.greater(ldt[:, -1], 0.0, out=ok[lo:hi])
+            np.log(ldt, out=ldt)
+            x[:, 0] = 1.0
+            np.multiply(m[:, None], ldt, out=x[:, 1])
+            np.exp(x[:, 1], out=x[:, 1])
+            # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
+            # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
+            # the rounding stays at machine epsilon, and one tan costs less than
+            # a cos plus a sin.
+            np.multiply(0.5 * omega[:, None], ldt, out=u)
+            np.tan(u, out=u)
+            u2 = np.multiply(u, u, out=ldt)
+            np.add(u2, 1.0, out=scale)
+            np.divide(x[:, 1], scale, out=scale)
+            np.multiply(np.subtract(1.0, u2, out=u2), scale, out=x[:, 2])
+            np.multiply(np.multiply(u, 2.0, out=u), scale, out=x[:, 3])
+            # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
+            # hands numpy one buffer twice, and it then calls syrk per 4x4
+            # matrix, several times slower than gemm for long windows. The
+            # matrix comes out exactly symmetric; its corner is a sum of n ones.
+            np.matmul(x[:, 1:], x.transpose(0, 2, 1), out=gram[lo:hi, 1:])
+            gram[lo:hi, 0, 1:] = gram[lo:hi, 1:, 0]
+            gram[lo:hi, 0, 0] = t.size
+            np.matmul(x, y, out=rhs[lo:hi])
+            designs.append((y, x, fit, lo, hi))
         ok &= np.isfinite(gram).all(axis=(1, 2))
-        # Rejected rows are swapped for the identity, so eigvalsh and solve
-        # never see inf/nan or a singular matrix from a neighbour.
-        gram = np.where(ok[:, None, None], gram, _EYE4)
-        eig = np.linalg.eigvalsh(gram)
-        ok &= (eig[:, -1] > 0.0) & (eig[:, 0] > eig[:, -1] / _COND_CAP)
-        gram = np.where(ok[:, None, None], gram, _EYE4)
-        beta = np.linalg.solve(gram, (x @ y)[..., None])[..., 0]
-        np.matmul(beta[:, None, :], x, out=fit[:, None, :])
-        resid = np.subtract(y, fit, out=fit)
-        sse = np.einsum("kn,kn->k", resid, resid)
+        lower, d = _ldl(gram)
+        smallest = d.min(axis=0)
+        ok &= (smallest > 0.0) & (smallest > d.max(axis=0) / _COND_CAP)
+        beta = _ldl_solve(lower, d, rhs)
+        for y, x, fit, lo, hi in designs:
+            np.matmul(beta[lo:hi, None, :], x, out=fit[:, None, :])
+            resid = np.subtract(y, fit, out=fit)
+            sse[lo:hi] = np.einsum("kn,kn->k", resid, resid)
+            if refine:
+                np.matmul(x, resid[..., None], out=rhs[lo:hi, :, None])
         if refine:
             # One refinement step, beta += G^-1 X^T r (the corrected
             # seminormal equations): the normal-equation solve alone errs by
             # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
-            beta += np.linalg.solve(gram, x @ resid[..., None])[..., 0]
+            beta += _ldl_solve(lower, d, rhs)
     return beta, np.where(ok, sse, np.inf), ok
 
 
@@ -204,10 +257,10 @@ def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse, ok = _profile(t, y, [(tc, m, omega)])
+    beta, sse, ok = _profile([(t, y)], [(tc, m, omega)], [(0, 0, 1)])
     if not ok[0]:
         raise DegenerateBasisError(
-            f"normal matrix not finite or condition above {_COND_CAP:g} "
+            f"normal matrix not finite or pivot ratio above {_COND_CAP:g} "
             f"at tc={tc}, m={m}, omega={omega}"
         )
     return beta[0], float(sse[0])
@@ -218,8 +271,9 @@ def linear_solve(series: PriceSeries, window: Window, tc: float, m: float, omega
 
     Raises DomainError when tc does not exceed the window end, and
     DegenerateBasisError when the 4x4 normal system is not finite or
-    numerically singular (condition estimate above 1e12); callers in the
-    nonlinear search treat both as a rejected candidate.
+    numerically singular (a pivot of its LDL^T factor not positive, or a
+    pivot ratio above 1e12); the nonlinear search rejects exactly the same
+    candidates.
     """
     t, y = _window_arrays(series, window)
     beta, _ = _profile_one(t, y, tc, m, omega)
@@ -233,20 +287,22 @@ def cost(series: PriceSeries, window: Window, tc: float, m: float, omega: float)
     return sse
 
 
-def _objective(t, y, cfg: SearchConfig):
-    """Profiled cost of a (k, 3) population, +inf for inadmissible rows.
+def _objective(arrays, cfg: SearchConfig):
+    """Profiled cost of the windows' populations, +inf for inadmissible rows.
 
-    Besides the kernel's rejections, a row whose damping ratio
-    m|B| / (omega sqrt(C1^2 + C2^2)) falls below the floor is rejected.
+    The objective of minimize_problems: problem p is the window whose
+    (t, y) is arrays[p]. Besides the kernel's rejections, a row whose
+    damping ratio m|B| / (omega sqrt(C1^2 + C2^2)) falls below the floor
+    is rejected.
     """
     floor = cfg.damping_floor
-    scratch = None  # kernel work arrays, kept at the largest batch seen
+    scratches = [_scratch(0, t.size) for t, _ in arrays]  # kept at the largest batch seen
 
-    def func(points):
-        nonlocal scratch
-        if scratch is None or len(scratch[0]) < len(points):
-            scratch = _scratch(len(points), t.size)
-        beta, sse, _ = _profile(t, y, points, scratch, refine=False)
+    def func(points, parts):
+        for p, lo, hi in parts:
+            if len(scratches[p][0]) < hi - lo:
+                scratches[p] = _scratch(hi - lo, arrays[p][0].size)
+        beta, sse, _ = _profile(arrays, points, parts, scratches, refine=False)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf
@@ -298,7 +354,7 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         uppers.append([tc_hi, cfg.m_max, cfg.omega_max])
 
     searches = minimize_problems(
-        [_objective(t, y, cfg) for t, y in arrays],
+        _objective(arrays, cfg),
         lowers,
         uppers,
         popsize=cfg.population,

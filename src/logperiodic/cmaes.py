@@ -9,11 +9,13 @@ is always feasible and evaluated at its true objective value.
 
 The restarts of a search, and the searches of several problems of one
 dimension and budget, run in lockstep: each generation is one update over
-every running run and one call of each problem's objective with the
-populations of its running restarts as one (k, n) array. A run ends when
-its evaluation budget is spent, when its step size diverges, on one of
-the two termination criteria of Hansen, "The CMA Evolution Strategy: A
-Tutorial" (arXiv:1604.00772), or when it stalls behind a sibling run:
+every running run and one call of the objective with the populations of
+all running runs as one (k, n) array, each problem's rows contiguous and
+in problem order, together with the row range of each problem. A run
+ends when its evaluation budget is spent, when its step size diverges,
+on one of the two termination criteria of Hansen, "The CMA Evolution
+Strategy: A Tutorial" (arXiv:1604.00772), or when it stalls behind a
+sibling run:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
@@ -58,19 +60,21 @@ class CmaResult:
     evaluations: int
 
 
-def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs) -> list[CmaResult]:
-    """Minimize each funcs[p] over its box [lowers[p], uppers[p]] with restarted CMA-ES.
+def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) -> list[CmaResult]:
+    """Minimize problem p of func over its box [lowers[p], uppers[p]] with restarted CMA-ES.
 
     The problems share the dimension, population, budget and restart count;
     the result list holds one CmaResult per problem. Every run of every
     problem advances in lockstep: each generation is one CMA-ES update over
-    all runs still going and one funcs[p] call per problem p that has runs
-    going, holding the populations of exactly those runs as one (k, n)
-    array; it returns their k objective values, and +inf rejects a point
-    outright. Run 0 of problem p starts at its box center and draws its
-    samples from rngs[p]; run r > 0 starts at a uniform random point and
-    draws everything from the r-th child of rngs[p].spawn(restarts - 1), so
-    a run's samples depend neither on `restarts` nor on the other problems.
+    all runs still going and one call func(points, parts). `points` is a
+    (k, n) array of the populations of exactly those runs, each problem's
+    rows contiguous and in problem order, and `parts` lists (p, lo, hi) for
+    each problem p with runs going: rows points[lo:hi] are p's. func returns
+    the k objective values, and +inf rejects a point outright. Run 0 of
+    problem p starts at its box center and draws its samples from rngs[p];
+    run r > 0 starts at a uniform random point and draws everything from
+    the r-th child of rngs[p].spawn(restarts - 1), so a run's samples
+    depend neither on `restarts` nor on the other problems.
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
     diverging step size, or a stall behind a strictly better run of its own
@@ -125,12 +129,10 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
         return [(int(owner[lo]), lo, hi) for lo, hi in zip(starts, [*starts[1:], ids.size])]
 
     def evaluate(parts, points):
-        """Objective values of the (running runs, k, n) points, one func call per problem."""
-        out = np.empty(points.shape[:2])
-        for p, lo, hi in parts:
-            values = funcs[p](points[lo:hi].reshape(-1, n))
-            out[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo, -1)
-        return out
+        """Objective values of the (running runs, k, n) points, in one func call."""
+        k = points.shape[1]
+        values = func(points.reshape(-1, n), [(p, lo * k, hi * k) for p, lo, hi in parts])
+        return np.asarray(values, dtype=float).reshape(points.shape[:2])
 
     parts = problems_of(ids)
     best_x = np.clip(mean, 0.0, 1.0)
@@ -235,5 +237,5 @@ def minimize_problems(funcs, lowers, uppers, popsize, max_evals, restarts, rngs)
 
 def minimize_box(func, lower, upper, popsize, max_evals, restarts, rng) -> CmaResult:
     """minimize_problems for one func that takes one point and returns a float."""
-    return minimize_problems([lambda xs: np.array([func(x) for x in xs], dtype=float)],
+    return minimize_problems(lambda xs, parts: np.array([func(x) for x in xs], dtype=float),
                              [lower], [upper], popsize, max_evals, restarts, [rng])[0]

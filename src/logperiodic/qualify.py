@@ -71,6 +71,9 @@ class FilterConfig:
         if self.m_min > self.m_max or self.omega_min > self.omega_max:
             raise ValidationError(f"filter ranges must not be empty, got m in [{self.m_min}, {self.m_max}]"
                                   f" and omega in [{self.omega_min}, {self.omega_max}]")
+        if not 0 < self.omega_min < self.omega_max < math.inf:
+            raise ValidationError(f"filter omega range [{self.omega_min}, {self.omega_max}] is not a band"
+                                  " the Lomb test can scan: it needs 0 < omega_min < omega_max < inf")
         if self.oscillation_threshold <= 0 or self.oscillation_divisor <= 0:
             raise ValidationError("oscillation threshold and divisor must be positive")
         if not 0 < self.lomb_alpha < 1 or not 0 < self.ou_alpha < 1:

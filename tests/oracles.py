@@ -106,14 +106,14 @@ def grid_oracle(series, window, grid_spec, cfg=SearchConfig()):
     tcs = np.linspace(tc_lo + TC_GUARD, tc_hi, n_tc)
     ms = np.linspace(cfg.m_min, cfg.m_max, n_m)
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, n_omega)
-    func = _objective(t, y, cfg)
+    func = _objective([(t, y)], cfg)
     mm, ww = (a.ravel() for a in np.meshgrid(ms, omegas, indexing="ij"))
 
     best = (math.inf, None)
     evals = 0
     for tc in tcs:
         points = np.column_stack((np.full(mm.size, tc), mm, ww))
-        values = func(points)
+        values = func(points, [(0, 0, len(points))])
         evals += len(points)
         k = int(np.argmin(values))
         if values[k] < best[0]:

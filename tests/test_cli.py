@@ -436,6 +436,18 @@ def test_default_threshold_follows_the_stride():
             FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "filter_omega_min = 30\n"}, {},
             "filter ranges must not be empty", id="filter-omega-empty-config",
         ),
+        pytest.param(
+            FIT + ["--filter-omega-max", "inf"], {}, {}, "not a band the Lomb test can scan",
+            id="filter-omega-max-inf",
+        ),
+        pytest.param(
+            FIT + ["--filter-omega-min", "10", "--filter-omega-max", "10"], {}, {},
+            "not a band the Lomb test can scan", id="filter-omega-one-point",
+        ),
+        pytest.param(
+            FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "filter_omega_min = -1\n"}, {},
+            "not a band the Lomb test can scan", id="filter-omega-negative-config",
+        ),
     ],
 )
 def test_malformed_input_is_one_line_validation_error(

@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from logperiodic import (  # noqa: E402
-    PriceSeries, SearchConfig, SynthSpec, ValidationError, Window, WindowScheme, confidence_at,
-    generate, resample, scan,
+    DegenerateBasisError, DomainError, PriceSeries, SearchConfig, SynthSpec, ValidationError,
+    Window, WindowScheme, confidence_at, cost, generate, linear_solve, resample, scan,
 )
 from logperiodic.calibrate import _objective, _profile, _window_arrays  # noqa: E402
 from logperiodic.qualify import _lomb_power  # noqa: E402
@@ -35,6 +35,11 @@ ROW = st.tuples(
     st.floats(min_value=0.05, max_value=0.95),
     st.floats(min_value=1.5, max_value=45.0),
 )
+
+
+def _kernel(t, y, points, refine=True):
+    """_profile of rows that all belong to the window (t, y)."""
+    return _profile([(t, y)], points, [(0, 0, len(points))], refine=refine)
 
 
 def _batch(w, rows):
@@ -87,13 +92,13 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
     w = Window(t1, min(t1 + length, 399))
     t, y = _window_arrays(NOISY, w)
     points = _batch(w, rows)
-    beta, sse, ok = _profile(t, y, points)
+    beta, sse, ok = _kernel(t, y, points)
     # the search's objective reads the unrefined beta for its damping floor
-    raw_beta, raw_sse, raw_ok = _profile(t, y, points, refine=False)
+    raw_beta, raw_sse, raw_ok = _kernel(t, y, points, refine=False)
     assert np.array_equal(raw_ok, ok) and np.array_equal(raw_sse, sse)
     for k, (kind, *_) in enumerate(rows):
-        one_beta, one_sse, one_ok = _profile(t, y, points[k : k + 1])
-        one_raw_beta = _profile(t, y, points[k : k + 1], refine=False)[0]
+        one_beta, one_sse, one_ok = _kernel(t, y, points[k : k + 1])
+        one_raw_beta = _kernel(t, y, points[k : k + 1], refine=False)[0]
         assert ok[k] == one_ok[0]
         if kind != "admissible":
             assert not ok[k]
@@ -116,17 +121,60 @@ def test_objective_scratch_never_leaks_between_calls(big, small):
     # stale rows in its scratch, and the next 35-row call must not see them.
     w = Window(679 - 649, 679)
     t, y = _window_arrays(LONG, w)
-    plain = _objective(t, y, SearchConfig(damping_floor=0.0))
-    floored = _objective(t, y, SearchConfig())
+    plain = _objective([(t, y)], SearchConfig(damping_floor=0.0))
+    floored = _objective([(t, y)], SearchConfig())
     for rows in (big, small, big):
         points = _batch(w, [(ROW_KINDS[i % len(ROW_KINDS)], *row) for i, row in enumerate(rows)])
-        sse = _profile(t, y, points)[1]
-        assert np.array_equal(plain(points), sse)
+        sse = _kernel(t, y, points)[1]
+        parts = [(0, 0, len(points))]
+        assert np.array_equal(plain(points, parts), sse)
         # the damping floor only rejects rows, the same ones as a fresh closure
-        got = floored(points)
-        assert np.array_equal(got, _objective(t, y, SearchConfig())(points))
+        got = floored(points, parts)
+        assert np.array_equal(got, _objective([(t, y)], SearchConfig())(points, parts))
         kept = np.isfinite(got)
         assert np.array_equal(got[kept], sse[kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t1s=st.tuples(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300)),
+    length=st.integers(min_value=20, max_value=100),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(ROW_KINDS),
+            st.floats(min_value=0.5, max_value=40.0),
+            # down to m = 1e-9, where the power-law column nears the intercept's
+            st.floats(min_value=-9.0, max_value=-0.03).map(lambda e: 10.0**e),
+            st.floats(min_value=1.0, max_value=45.0),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    split=st.integers(min_value=1, max_value=11),
+)
+# m = 8.8e-6 puts this row's pivot ratio at 1.03e11, just under the 1e12 cap
+@example(t1s=(1, 150), length=100, rows=[("admissible", 39.67, 8.8e-6, 3.79)] * 2, split=1)
+def test_rows_the_search_admits_are_rows_the_result_can_solve(t1s, length, rows, split):
+    # fit() reports the search's best row through linear_solve's path: a row
+    # with a finite objective value that linear_solve rejects would end the
+    # fit, or a whole scan, in DegenerateBasisError.
+    windows = [Window(t1, min(t1 + length, 399)) for t1 in t1s]
+    split = min(split, len(rows) - 1)
+    points = np.concatenate([_batch(windows[0], rows[:split]), _batch(windows[1], rows[split:])])
+    parts = [(0, 0, split), (1, split, len(rows))]
+    arrays = [_window_arrays(NOISY, w) for w in windows]
+    values = _objective(arrays, SearchConfig())(points, parts)
+    ok = _profile(arrays, points, parts)[2]
+    for p, lo, hi in parts:
+        for k in range(lo, hi):
+            if not ok[k]:
+                assert values[k] == np.inf
+                with pytest.raises((DomainError, DegenerateBasisError)):
+                    linear_solve(NOISY, windows[p], *points[k])
+                continue
+            linear_solve(NOISY, windows[p], *points[k])
+            if np.isfinite(values[k]):
+                assert cost(NOISY, windows[p], *points[k]) == pytest.approx(values[k], rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -329,7 +329,11 @@ def test_filter_config_validation():
     with pytest.raises(ValidationError, match="must not be empty"):
         FilterConfig(omega_min=30.0, omega_max=20.0)
     FilterConfig(m_min=0.5, m_max=0.5)  # a one-point range is not empty
+    # the Lomb test scans omega_min..omega_max, so that must be a finite positive band
+    for bounds in ((2.0, math.inf), (10.0, 10.0), (-1.0, 25.0), (0.0, 25.0)):
+        with pytest.raises(ValidationError, match="Lomb test"):
+            FilterConfig(omega_min=bounds[0], omega_max=bounds[1])
     for f in dataclasses.fields(FilterConfig):
         with pytest.raises(ValidationError, match=f.name):
             FilterConfig(**{f.name: math.nan})
-    FilterConfig(max_rel_error=math.inf, omega_max=math.inf)  # inf stays allowed: it switches a bound off
+    FilterConfig(max_rel_error=math.inf)  # inf stays allowed: it switches a bound off
