@@ -118,7 +118,8 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     eigvecs = cov.copy()
     # best ranked value of each of the last 10 + ceil(30 n / lambda) generations
     recent_best = np.empty((runs, 10 + math.ceil(30 * n / lam)))
-    improved = np.zeros(runs, dtype=int)  # the generation that last lowered best_f
+    # best_f after each of the last `history` generations: generation g's sits in slot g % history
+    past_best = np.empty((runs, recent_best.shape[1]))
     firsts = np.arange(0, runs, per_problem)  # each problem's first run
     ids = np.arange(runs)
 
@@ -137,6 +138,7 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     parts = problems_of(ids)
     best_x = np.clip(mean, 0.0, 1.0)
     best_f = evaluate(parts, (lower + best_x * width)[:, None, :])[:, 0]
+    past_best[:, 0] = best_f
     run_lower, run_width = lower[:, None, :], width[:, None, :]  # of the running runs
     used = np.ones(runs, dtype=int)
     evals = 1  # per running run: they all started together
@@ -163,7 +165,6 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         better = f_raw[rows, k] < best_f[ids]
         best_f[ids[better]] = f_raw[rows, k][better]
         best_x[ids[better]] = x_clip[rows, k][better]
-        improved[ids[better]] = gen
         finite = np.isfinite(f_raw)
         fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
 
@@ -214,8 +215,11 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         stop |= sigma * spread < tol_x
         stop |= ~np.isfinite(sigma) | (sigma > 1e6)
         # stall: no new best for a TolFun history, behind its problem's leader
-        leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]
-        stop |= (gen - improved[ids] >= recent_best.shape[1]) & (leader < best_f[ids])
+        slot = gen % past_best.shape[1]
+        if gen >= past_best.shape[1]:
+            leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]
+            stop |= (past_best[ids, slot] == best_f[ids]) & (leader < best_f[ids])
+        past_best[ids, slot] = best_f[ids]
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop
