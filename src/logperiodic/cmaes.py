@@ -14,21 +14,24 @@ all running runs as one (k, n) array, each problem's rows contiguous and
 in problem order, together with the row range of each problem. A run
 ends when its evaluation budget is spent, when its step size diverges,
 on one of the two termination criteria of Hansen, "The CMA Evolution
-Strategy: A Tutorial" (arXiv:1604.00772), or when it stalls behind a
-sibling run:
+Strategy: A Tutorial" (arXiv:1604.00772), or when it cannot catch up with
+a sibling run:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
   generation whose values are all finite can trip it.
 - TolX: sigma * |p_c| and sigma * sqrt(diag(C)) are below _TOL_X times the
   initial step size in every coordinate.
-- Stall: the run has not strictly lowered its best value for the last
-  10 + ceil(30 n / lambda) generations (TolFun's history length), and
-  another run of the same problem, running or stopped, holds a strictly
-  lower best value. The run that leads its problem never stops this way,
-  so the returned best is never cut short, and a search with one restart
-  never stops this way at all. It is the one criterion that reads other
-  runs, and only those of the same problem.
+- Catch-up: another run of the same problem, running or stopped, holds a
+  strictly lower best value (the leader's), and over the last
+  10 + ceil(30 n / lambda) generations (TolFun's history length) the
+  run's best value either did not move, or fell by at most _CATCH_UP
+  times its gap to the leader while its largest step sigma * sqrt(max
+  eigenvalue of C) is below _CATCH_UP_STEP in box units. The run that
+  leads its problem never stops this way, so the returned best is never
+  cut short, and a search with one restart never stops this way at all.
+  It is the one criterion that reads other runs, and only those of the
+  same problem.
 
 Everything is driven by caller-supplied numpy Generators, one per problem:
 identical generators give bit-identical runs, alone or in any batch.
@@ -51,6 +54,12 @@ _PENALTY = 1e4
 # to the initial step size, in normalized coordinates).
 _TOL_FUN = 1e-12
 _TOL_X = 1e-12
+
+# Catch-up rule: the share of its gap to the leader a trailing run must close
+# per TolFun history, and the largest step (box units; runs start at 0.25)
+# below which it must.
+_CATCH_UP = 0.1
+_CATCH_UP_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -77,12 +86,12 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     depend neither on `restarts` nor on the other problems.
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
-    diverging step size, or a stall behind a strictly better run of its own
-    problem; a stopped run leaves the batch. Under the stall rule the
-    generation at which a trailing run stops depends on the best values of
-    the other runs of its problem, so adding restarts can end a run
-    earlier; the leading run of each problem always finishes, and with
-    restarts = 1 the rule never fires.
+    diverging step size, or when it cannot catch up with a strictly better
+    run of its own problem; a stopped run leaves the batch. Under the
+    catch-up rule the generation at which a trailing run stops depends on
+    the best values of the other runs of its problem, so adding restarts
+    can end a run earlier; the leading run of each problem always finishes,
+    and with restarts = 1 the rule never fires.
     """
     per_problem = max(1, restarts)
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // per_problem.
@@ -214,11 +223,16 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
                             np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
         stop |= sigma * spread < tol_x
         stop |= ~np.isfinite(sigma) | (sigma > 1e6)
-        # stall: no new best for a TolFun history, behind its problem's leader
+        # catch-up: behind its problem's leader, the best of a TolFun history
+        # ago did not move, or moved too little with too small a step to close the gap
         slot = gen % past_best.shape[1]
         if gen >= past_best.shape[1]:
             leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]
-            stop |= (past_best[ids, slot] == best_f[ids]) & (leader < best_f[ids])
+            then, now = past_best[ids, slot], best_f[ids]
+            with np.errstate(invalid="ignore"):  # inf - inf where a run has no finite best
+                creeping = ((then - now <= _CATCH_UP * (now - leader))
+                            & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
+            stop |= (leader < now) & ((then == now) | creeping)
         past_best[ids, slot] = best_f[ids]
         if stop.any():
             used[ids[stop]] = evals

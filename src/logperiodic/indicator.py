@@ -118,15 +118,15 @@ def window_seed(base_seed: int, t2: int, length: int) -> int:
 
 # Most windows per task: consecutive windows of one endpoint, fitted as one
 # lockstep search so they share the per-generation CMA-ES work.
-_CHUNK = 8
+_CHUNK = 16
 
 
 def _chunks(windows: list[Window]) -> list[list[Window]]:
     """Split one endpoint's windows into ceil(W/_CHUNK) consecutive chunks.
 
-    Chunk sizes differ by at most one (21 windows give 7/7/7, 11 give
-    5/6), so the pool's tasks are balanced, and the split depends on the
-    scheme alone.
+    Chunk sizes differ by at most one (21 windows give 10/11, 11 give one
+    chunk of 11, 125 give 8 chunks of 15 or 16), so the pool's tasks are
+    balanced, and the split depends on the scheme alone.
     """
     count = len(windows)
     parts = -(-count // _CHUNK)

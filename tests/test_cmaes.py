@@ -92,6 +92,108 @@ def test_leading_run_is_never_stopped_for_stalling():
     assert res.evaluations == 1 + 7 * ((2000 - 1) // 7)
 
 
+# TolFun's history length at n = 3, lambda = 7: the catch-up rule's window, in generations
+_HISTORY = 10 + math.ceil(30 * 3 / 7)
+
+
+def _trench(xs):
+    """Global minimum 0 at (0.2, 0.3, 0.3); a rough trench along x0 at x1 = x2 = 0.7, floored near 1."""
+    d = xs - (0.2, 0.3, 0.3)
+    e = xs[:, 1:] - 0.7
+    rough = 1e-3 * ((xs @ _ROUGH) % 1.0)
+    return np.minimum(100.0 * np.sum(d * d, axis=1), 1.0 + 100.0 * np.sum(e * e, axis=1) + rough)
+
+
+def _near_tie(xs):
+    """Global minimum 0 at (0.2, 0.3, 0.3); a smooth second well floored at 1e-6."""
+    d = xs - (0.2, 0.3, 0.3)
+    e = xs - (0.85, 0.7, 0.7)
+    return np.minimum(100.0 * np.sum(d * d, axis=1), 1e-6 + 100.0 * np.sum(e * e, axis=1))
+
+
+def _rough_well(xs):
+    """One well floored near 1, rough enough that its runs creep down it to the end."""
+    e = xs - (0.6, 0.4, 0.5)
+    return 1.0 + 100.0 * np.sum(e * e, axis=1) + 1e-3 * ((xs @ _ROUGH) % 1.0)
+
+
+def _two_runs(objective, seed, lam=7):
+    """Runs 0 and 1 of a two-restart search: each one's rows and best value, per generation.
+
+    Entry g of a run is generation g (0 is its start point); a run's last entry is the
+    generation at whose end it stopped. Run 0 draws the same samples whatever the restart
+    count, so rows that are not both runs' are run 0's when they equal its rows alone.
+    """
+    def recording(calls):
+        def func(points, parts):
+            calls.append(np.array(points))
+            return objective(points)
+        return func
+
+    alone, both = [], []
+    for calls, restarts in ((alone, 1), (both, 2)):
+        minimize_problems(recording(calls), [LO], [HI], popsize=lam, max_evals=2000,
+                          restarts=restarts, rngs=[np.random.default_rng(seed)])
+    rows = [[both[0][:1]], [both[0][1:]]]
+    for g, points in enumerate(both[1:], start=1):
+        if len(points) == 2 * lam:
+            rows[0].append(points[:lam])
+            rows[1].append(points[lam:])
+        else:
+            rows[0 if g < len(alone) and np.array_equal(points, alone[g]) else 1].append(points)
+    best = [np.minimum.accumulate([objective(r).min() for r in run]) for run in rows]
+    return rows, best, len(alone) - 1
+
+
+def _leader(best, g):
+    """The least best value over both runs after generation g, a stopped run's included."""
+    return min(b[min(g, len(b) - 1)] for b in best)
+
+
+def _creeping(best, run, g):
+    """Run `run` trails at g, and its best fell over the last history, by at most 0.1 of its gap."""
+    now, then, lead = best[run][g], best[run][g - _HISTORY], _leader(best, g)
+    return lead < now and 0.0 < then - now <= 0.1 * (now - lead)
+
+
+def test_trailing_run_creeping_with_a_small_step_stops_early():
+    # run 0 converges in the global well; run 1 creeps down the rough trench
+    _, best, _ = _two_runs(_trench, seed=2)
+    stop = len(best[1]) - 1
+    assert best[0][-1] < 1e-10 < 1.0 < best[1][-1]
+    # it stopped while still lowering its best, so the stall rule alone would have gone on
+    assert _creeping(best, 1, stop)
+    assert stop < (2000 - 1) // 7 / 4
+
+
+def test_trailing_run_creeping_with_a_large_step_is_not_stopped():
+    # the run of the previous test crept for generations before it stopped: its step was
+    # still 1e-2 or more, as its rows show at the first of them
+    rows, best, _ = _two_runs(_trench, seed=2)
+    stop = len(best[1]) - 1
+    crept = [g for g in range(_HISTORY, stop) if _creeping(best, 1, g)]
+    assert len(crept) >= 5
+    assert np.ptp(rows[1][crept[0]], axis=0).max() > 2e-2
+
+
+def test_trailing_run_closing_its_gap_is_not_stopped():
+    # run 1 converges into a second well whose floor lies 1e-6 above the leader's; its
+    # step falls below 1e-2 long before, but each history it closes most of its gap
+    _, best, _ = _two_runs(_near_tie, seed=0)
+    assert best[0][-1] < 1e-10
+    assert 1e-6 < best[1][-1] < 1e-6 * (1.0 + 1e-3)
+
+
+def test_leading_run_is_never_stopped():
+    # both runs creep down one rough well with a small step; the one that leads at the
+    # end, run 0, even stalls for a history at times, yet it runs exactly the
+    # generations it runs alone, here the whole budget
+    rows, best, alone = _two_runs(_rough_well, seed=4)
+    assert best[0][-1] < best[1][-1]
+    assert any(best[0][g] == best[0][g - _HISTORY] for g in range(_HISTORY, len(best[0])))
+    assert len(best[1]) - 1 < alone == len(rows[0]) - 1 == (2000 - 1) // 7
+
+
 def test_single_restart_fit_is_pinned(strong_bubble):
     # with one restart every run leads its problem, so the stall rule never
     # fires; the evaluations are those of the fit before the rule existed,
@@ -113,9 +215,9 @@ def test_default_restart_fit_is_pinned(strong_bubble):
 
 def test_restart_streams_nest():
     # run r draws from its own child stream, so adding runs only adds trajectories.
-    # The stall rule cannot cut a run short here: on a convex quadratic a run
-    # keeps lowering its best until TolFun or TolX ends it, so no run sits
-    # stalled behind a better sibling.
+    # The catch-up rule cannot cut a run short here: on a convex quadratic a
+    # run keeps lowering its best, by most of its gap to any better sibling
+    # each history, until TolFun or TolX ends it.
     runs = [minimize_problems(_each(_population), [LO], [HI], popsize=7, max_evals=2000, restarts=r,
                               rngs=[np.random.default_rng(11)])[0]
             for r in range(1, 6)]
@@ -136,7 +238,7 @@ def test_one_call_per_generation_for_all_running_restarts():
     res = minimize_problems(_each(recording), [LO], [HI], popsize=lam, max_evals=2000,
                             restarts=restarts, rngs=[np.random.default_rng(11)])[0]
     # per-run evaluations, from the nesting of the restart streams (which the
-    # stall rule leaves intact on a convex quadratic: no run stalls behind another)
+    # catch-up rule leaves intact on a convex quadratic: no run trails for long)
     totals = [0] + [minimize_problems(_each(_population), [LO], [HI], popsize=lam, max_evals=2000,
                                       restarts=r, rngs=[np.random.default_rng(11)])[0].evaluations
                     for r in range(1, restarts + 1)]

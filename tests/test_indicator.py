@@ -141,9 +141,9 @@ def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):
 
 
 def test_chunked_outcomes_equal_per_window_fits(bubble_series):
-    # 10 windows per endpoint make two chunks of 5, below the chunk cap, and
+    # 18 windows per endpoint make two chunks of 9, below the chunk cap, and
     # the two endpoints make four tasks, so workers=2 runs them on the pool.
-    scheme = WindowScheme(120, 30, 10)
+    scheme = WindowScheme(200, 30, 10)
     search = SearchConfig(max_evaluations=300, restarts=2)
     assert scheme.count % indicator._CHUNK != 0
     runs = [indicator._points(bubble_series, [300, 419], scheme, search, FilterConfig(), 42,
@@ -166,8 +166,8 @@ def test_chunks_cover_windows_in_order_with_balanced_sizes():
         assert [w for c in chunks for w in c] == windows
         assert len(chunks) == -(-count // indicator._CHUNK)
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= indicator._CHUNK
-    assert [len(c) for c in indicator._chunks(list(range(21)))] == [7, 7, 7]
-    assert [len(c) for c in indicator._chunks(list(range(11)))] == [5, 6]
+    assert [len(c) for c in indicator._chunks(list(range(21)))] == [10, 11]
+    assert [len(c) for c in indicator._chunks(list(range(11)))] == [11]
 
 
 def test_scan_rejects_bad_ranges(bubble_series):
