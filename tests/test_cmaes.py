@@ -195,9 +195,9 @@ def test_leading_run_is_never_stopped():
 
 
 def test_single_restart_fit_is_pinned(strong_bubble):
-    # with one restart every run leads its problem, so the stall rule never
-    # fires; the evaluations are those of the fit before the rule existed,
-    # the cost is the LDL^T kernel's
+    # with one restart every run leads its problem, so the catch-up rule
+    # never fires; the evaluations are those of the fit before any rule
+    # between restarts existed, the cost is the LDL^T kernel's
     _, series = strong_bubble
     res = fit(series, Window(300, 419), SearchConfig(seed=5, restarts=1))
     assert res.evaluations == 967
@@ -205,8 +205,9 @@ def test_single_restart_fit_is_pinned(strong_bubble):
 
 
 def test_default_restart_fit_is_pinned(strong_bubble):
-    # all five restarts and the stall rule between them: a change to the
-    # restart bookkeeping that moves one bit of the search fails here
+    # all five restarts and the catch-up rule between them (it stops no run
+    # here that the stall rule before it did not): a change to the restart
+    # bookkeeping that moves one bit of the search fails here
     _, series = strong_bubble
     res = fit(series, Window(300, 419), SearchConfig(seed=5))
     assert res.evaluations == 4933

@@ -65,9 +65,8 @@ def collect() -> dict:
                               "cost": float("inf"), "evaluations": None, "class": "failed"}
                     if not isinstance(result, lp.FitFailedError):
                         report = lp.qualify(result, series, w, lp.FilterConfig())
-                        record.update(cost=result.cost, evaluations=result.evaluations,
-                                      **{"class": report.sign.value if report.qualified
-                                         else "unqualified"})
+                        record.update(cost=result.cost, evaluations=result.evaluations)
+                        record["class"] = report.sign.value if report.qualified else "unqualified"
                     records.append(record)
     return {"library": lp.__file__, "records": records}
 
