@@ -30,7 +30,7 @@ print(f"series: {len(series)} points, bubble ends at index 419, crash follows")
 # A reduced window scheme keeps the demo quick; the reference setup is
 # WindowScheme(650, 30, 5) with 125 windows per endpoint.
 scheme = WindowScheme(max_len=120, min_len=40, step=20)
-cfg = SearchConfig(seed=0, max_evaluations=1200, restarts=3)
+cfg = SearchConfig(max_evaluations=1200, restarts=3)
 
 points = scan(series, 395, 445, 5, scheme, cfg, base_seed=42, workers=2)
 

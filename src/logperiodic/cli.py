@@ -136,28 +136,36 @@ def _scalar_type(hint) -> type:
 _FIELD_TYPES = {name: _scalar_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a byte sequence that is not UTF-8 is a validation error."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+
+
 def load_config_file(path: str) -> dict:
     """Flat `key = value` file, # comments allowed; keys are RunConfig fields."""
     values = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path} line {line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _FIELD_TYPES:
-                raise ValidationError(f"{path} line {line_no}: unknown config key {key!r}")
-            field_type = _FIELD_TYPES[key]
-            try:
-                value = field_type(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {line_no}: {key} = {raw!r} is not a valid {field_type.__name__}"
-                ) from None
-            values[key] = _check_setting(key, value, f"{path} line {line_no}")
+    for line_no, line in series_mod._data_lines(_read_text(path)):
+        if "=" not in line:
+            raise ValidationError(f"{path} line {line_no}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _FIELD_TYPES:
+            raise ValidationError(f"{path} line {line_no}: unknown config key {key!r}")
+        field_type = _FIELD_TYPES[key]
+        try:
+            value = field_type(raw)
+        except ValueError:
+            raise ValidationError(
+                f"{path} line {line_no}: {key} = {raw!r} is not a valid {field_type.__name__}"
+            ) from None
+        values[key] = _check_setting(key, value, f"{path} line {line_no}")
     return values
 
 
@@ -205,9 +213,7 @@ def _write_output(text: str, path: str | None) -> None:
 def _read_series(cfg: RunConfig) -> series_mod.PriceSeries:
     if not cfg.input:
         raise ValidationError("an input CSV is required (--input)")
-    with open(cfg.input, encoding="utf-8") as handle:
-        text = handle.read()
-    return series_mod.resample(series_mod.ingest(text), cfg.stride)
+    return series_mod.resample(series_mod.ingest(_read_text(cfg.input)), cfg.stride)
 
 
 def _csv_with_config(cfg: RunConfig, body: str) -> str:
@@ -312,9 +318,12 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
-    """Rebuild indicator points (exact counts) from a scan CSV; each t2 may appear once."""
+    """Rebuild indicator points (exact counts) from a scan CSV; each t2 may appear once.
+
+    Blank lines, `#` comment lines and a leading byte-order mark are skipped.
+    """
     points = {}
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [line for _, line in series_mod._data_lines(text)]
     if not lines:
         raise ValidationError("empty indicator table")
     if lines[0].strip() != SCAN_HEADER:
@@ -369,8 +378,7 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     loaded = _read_series(cfg)
-    with open(args.scan_table, encoding="utf-8") as handle:
-        points = read_scan_csv(handle.read())
+    points = read_scan_csv(_read_text(args.scan_table))
     lo = _resolve_review_bound(loaded, args.review_first, True)
     hi = _resolve_review_bound(loaded, args.review_last, False)
     assessment = assess(

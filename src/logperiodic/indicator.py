@@ -186,9 +186,10 @@ def confidence_at(
 ) -> IndicatorPoint:
     """Indicator at one endpoint: fit and qualify every scheme window.
 
-    Each window gets a seed derived from (base_seed, t2, length), so the
+    Each window gets the seed window_seed(base_seed, t2, length), so the
     value is reproducible and independent of execution order or worker
-    count, and identical on the series truncated at t2.
+    count, and identical on the series truncated at t2; search_cfg.seed
+    is not read.
     """
     t2 = int(t2)
     if t2 >= len(series):
@@ -214,7 +215,8 @@ def scan(
     Endpoints without max_len points of history are skipped (and logged),
     keeping every reported fraction on the same denominator. Window fits
     across the whole scan may run in parallel; results are ordered by t2
-    and equal to a sequential run.
+    and equal to a sequential run. Window seeds come from
+    window_seed(base_seed, t2, length); search_cfg.seed is not read.
     """
     t2_first, t2_last, t2_step = int(t2_first), int(t2_last), int(t2_step)
     if t2_step < 1:

@@ -296,10 +296,6 @@ def qualify(
     p = fit.params
     tc_hi = window.t2 + cfg.tc_extension * (window.t2 - window.t1)
 
-    m_in_range = cfg.m_min <= p.m <= cfg.m_max
-    omega_in_range = cfg.omega_min <= p.omega <= cfg.omega_max
-    tc_in_range = window.t2 <= p.tc <= tc_hi
-
     osc = float("nan")
     rel_err = float("inf")
     lomb = LombResult(0.0, 1.0, False, float("nan"))
@@ -312,8 +308,16 @@ def qualify(
         if window.length >= 12:
             ou = ou_test(series, window, p, cfg.ou_alpha)
 
-    oscillations_ok = math.isfinite(osc) and osc >= cfg.oscillation_threshold
-    rel_error_ok = rel_err <= cfg.max_rel_error
+    # report field -> outcome; qualified is the AND of exactly these
+    checks = {
+        "m_in_range": cfg.m_min <= p.m <= cfg.m_max,
+        "omega_in_range": cfg.omega_min <= p.omega <= cfg.omega_max,
+        "tc_in_range": window.t2 <= p.tc <= tc_hi,
+        "oscillations_ok": math.isfinite(osc) and osc >= cfg.oscillation_threshold,
+        "rel_error_ok": rel_err <= cfg.max_rel_error,
+        "lomb_ok": lomb.passed,
+        "ou_ok": ou.passed,
+    }
 
     if p.B < 0:
         sign = BubbleSign.POSITIVE
@@ -322,27 +326,12 @@ def qualify(
     else:
         sign = BubbleSign.INDETERMINATE
 
-    qualified = (
-        m_in_range
-        and omega_in_range
-        and tc_in_range
-        and oscillations_ok
-        and rel_error_ok
-        and lomb.passed
-        and ou.passed
-    )
     return QualificationReport(
-        m_in_range=m_in_range,
-        omega_in_range=omega_in_range,
-        tc_in_range=tc_in_range,
-        oscillations_ok=oscillations_ok,
-        rel_error_ok=rel_error_ok,
-        lomb_ok=lomb.passed,
-        ou_ok=ou.passed,
+        **checks,
         oscillation_count=osc,
         max_relative_error=rel_err,
         lomb_false_alarm=lomb.false_alarm_probability,
         ar1_coefficient=ou.ar1_coefficient,
-        qualified=qualified,
+        qualified=all(checks.values()),
         sign=sign,
     )

@@ -97,28 +97,39 @@ def _parse_date(text: str, line_no: int) -> _dt.date:
         raise ValidationError(f"line {line_no}: invalid date {text!r} (expected YYYY-MM-DD)") from None
 
 
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of every line that is neither blank nor a `#` comment.
+
+    Numbers count every line of the text from 1, comments and blanks
+    included; a leading UTF-8 byte-order mark is dropped. The CSV, config
+    file and scan table readers all split their text here.
+    """
+    numbered = enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
+    return [(no, ln) for no, ln in numbered if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def ingest(csv_text: str) -> PriceSeries:
     """Parse `date,close` CSV text into a stride-1 PriceSeries.
 
     One row per trading day, dates strictly increasing, prices positive.
     Rows are rejected rather than repaired; errors carry the offending
-    line number (header is line 1). A trailing `index` column, as written
-    by emit_csv, is accepted and ignored, as are `#` comment lines and a
-    leading UTF-8 byte-order mark.
+    line's number in the text, comment and blank lines counted. A trailing
+    `index` column, as written by emit_csv, is accepted and ignored, as
+    are `#` comment lines and a leading UTF-8 byte-order mark.
     """
-    text = csv_text.removeprefix("\ufeff")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _data_lines(csv_text)
     if not lines:
         raise ValidationError("empty CSV input")
-    header = [c.strip().lower() for c in lines[0].split(",")]
+    header_line = lines[0][1]
+    header = [c.strip().lower() for c in header_line.split(",")]
     if header[:2] != ["date", "close"] or (len(header) == 3 and header[2] != "index") or len(header) > 3:
-        raise ValidationError(f"expected header '{CSV_HEADER}', got {lines[0]!r}")
+        raise ValidationError(f"expected header '{CSV_HEADER}', got {header_line!r}")
     if len(lines) == 1:
         raise ValidationError("CSV has a header but no data rows")
 
     dates: list[_dt.date] = []
     prices: list[float] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) < 2:
             raise ValidationError(f"line {line_no}: expected 'date,close', got {line!r}")

@@ -59,10 +59,16 @@ def trading_dates(start: _dt.date, n: int) -> tuple[_dt.date, ...]:
     """n consecutive weekdays starting at (or after) `start`."""
     out = []
     day = start
-    while len(out) < n:
-        if day.weekday() < 5:
-            out.append(day)
-        day += _dt.timedelta(days=1)
+    try:
+        while len(out) < n:
+            if day.weekday() < 5:
+                out.append(day)
+            day += _dt.timedelta(days=1)
+    except OverflowError:  # stepped past date.max; fine once the n-th day is in
+        if len(out) < n:
+            raise ValidationError(
+                f"{n} trading days from {start.isoformat()} run past {_dt.date.max.isoformat()}"
+            ) from None
     return tuple(out)
 
 

@@ -202,10 +202,18 @@ def test_classify_date_bounds_snap_to_trading_days(bubble_csv, tmp_path, capsys)
     saturday_before_first = series.dates[first] - datetime.timedelta(days=2)
     saturday_after_last = series.dates[last] + datetime.timedelta(days=1)
     base = ["classify", "--input", str(path), "--scan-table", str(table)]
-    code = main(base + ["--review-first", saturday_before_first.isoformat(),
-                        "--review-last", saturday_after_last.isoformat()])
+    bounds = ["--review-first", saturday_before_first.isoformat(),
+              "--review-last", saturday_after_last.isoformat()]
+    code = main(base + bounds)
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["review"] == {"first": first, "last": last}
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["review"] == {"first": first, "last": last}
+
+    # the same table saved with a UTF-8 byte-order mark classifies alike
+    bom_table = tmp_path / "bom_scan.csv"
+    bom_table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+    assert main(["classify", "--input", str(path), "--scan-table", str(bom_table), *bounds]) == 0
+    assert capsys.readouterr().out == plain
 
     after_last = (series.dates[-1] + datetime.timedelta(days=1)).isoformat()
     before_first = (series.dates[0] - datetime.timedelta(days=1)).isoformat()
@@ -448,14 +456,76 @@ def test_default_threshold_follows_the_stride():
             FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "filter_omega_min = -1\n"}, {},
             "not a band the Lomb test can scan", id="filter-omega-negative-config",
         ),
+        pytest.param(
+            ["ingest", "--input", "{tmp}/latin1.csv"],
+            {"latin1.csv": b"date,close\n2020-01-02,100\n2020-01-03,10\xe9\n"}, {},
+            "latin1.csv is not UTF-8 text: byte 0xe9 at offset 39", id="input-not-utf8",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": b"# r\xe9glages\nseed = 1\n"}, {}, "run.cfg is not UTF-8 text: byte 0xe9",
+            id="config-not-utf8",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER.encode() + b"# \xe9\n2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "scan.csv is not UTF-8 text: byte 0xe9", id="scan-table-not-utf8",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": b"\xef\xbb\xbf" + SCAN_HEADER.encode() + b"2001-08-13,420,0.0,0.0,-1,0,5\n"},
+            {}, "inconsistent counts", id="scan-table-bom",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"],
+            {"scan.csv": SCAN_HEADER + "  # indented comment\n2001-08-13,420,0.0,0.0,-1,0,5\n"}, {},
+            "inconsistent counts", id="scan-table-indented-comment",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{tmp}/commented.csv"],
+            {"commented.csv": "# config: {}\ndate,close\n2020-01-02,100\n\n2020-01-03,-5\n"}, {},
+            "line 5: non-positive close '-5'", id="ingest-file-line-number",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "# run\nstride 5\n"}, {}, "run.cfg line 2: expected 'key = value'",
+            id="config-without-equals",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "strides = 5\n"}, {}, "run.cfg line 1: unknown config key 'strides'",
+            id="config-unknown-key",
+        ),
+        pytest.param(
+            ["resample", "--input", "{csv}", "--stride", "1"], {}, {}, "resample needs --stride >= 2",
+            id="resample-stride-one",
+        ),
+        pytest.param(
+            FIT + ["--tc-extension", "0.0001"], {}, {}, "tc search interval collapsed",
+            id="fit-tc-interval-collapses",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"], {"scan.csv": "# no rows\n\n"}, {},
+            "empty indicator table", id="scan-table-empty",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"], {"scan.csv": "t2,ci\n420,0.8\n"}, {},
+            "unexpected indicator table header 't2,ci'", id="scan-table-wrong-header",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410"], {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0\n"},
+            {}, "malformed indicator row '2001-08-13,420,0.8,0.0,4,0'", id="scan-table-short-row",
+        ),
     ],
 )
 def test_malformed_input_is_one_line_validation_error(
     argv, files, env, expected, bubble_csv, tmp_path, monkeypatch, capsys
 ):
     path, _ = bubble_csv
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (tmp_path / name).write_bytes(content)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code = main([arg.format(csv=path, tmp=tmp_path) for arg in argv])
@@ -486,6 +556,8 @@ def test_malformed_input_is_one_line_validation_error(
         pytest.param(["scan", "--input", "{csv}", "--t2-first", "419", "--t2-last", "419"], 2,
                      id="scan-without-seed"),
         pytest.param(["refit", "--input", "{csv}"], 2, id="unknown-subcommand"),
+        pytest.param(SYNTH + ["--start-date", "9999-12-30"], 4, id="synth-dates-past-date-max"),
+        pytest.param(["ingest"], 4, id="ingest-without-input"),
     ],
 )
 def test_exit_codes_end_without_traceback(argv, expected, bubble_csv, tmp_path, capsys):

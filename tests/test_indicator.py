@@ -108,6 +108,27 @@ def test_confidence_at_parallel_equals_serial(bubble_series):
     assert serial == parallel
 
 
+def test_failed_fits_count_as_unqualified_and_keep_the_denominator(bubble_series):
+    # A damping floor no candidate can meet makes every window's fit fail.
+    failing = SearchConfig(damping_floor=1e12, max_evaluations=100, restarts=1)
+    pt = confidence_at(bubble_series, 419, SMALL_SCHEME, failing, base_seed=42,
+                       keep_diagnostics=True)
+    assert (pt.windows_total, pt.windows_qualified_pos, pt.windows_qualified_neg) == (
+        SMALL_SCHEME.count, 0, 0)
+    assert len(pt.diagnostics) == SMALL_SCHEME.count
+    for outcome in pt.diagnostics:
+        assert outcome.report is None and outcome.cost == float("inf")
+        assert outcome.error.startswith("no admissible fit")
+    # two endpoints make two tasks, so workers=2 runs the failures on the pool
+    runs = [scan(bubble_series, 409, 419, 10, SMALL_SCHEME, failing, base_seed=42, workers=workers)
+            for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    assert [(p.t2, p.windows_total, p.positive_ci, p.negative_ci) for p in runs[0]] == [
+        (409, SMALL_SCHEME.count, 0.0, 0.0), (419, SMALL_SCHEME.count, 0.0, 0.0)]
+    with pytest.raises(ValidationError, match="outside series"):
+        confidence_at(bubble_series, len(bubble_series), SMALL_SCHEME, failing)
+
+
 def test_scan_single_point_matches_confidence_at(bubble_series):
     single = scan(bubble_series, 419, 419, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=42)
     assert len(single) == 1

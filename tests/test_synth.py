@@ -88,6 +88,10 @@ def test_trading_dates_skip_weekends():
     assert dates[0] == dt.date(2000, 1, 3)
     assert all(d.weekday() < 5 for d in dates)
     assert all(b > a for a, b in zip(dates, dates[1:]))
+    # the calendar ends on Friday 9999-12-31: the last day may be taken, none after it
+    assert trading_dates(dt.date(9999, 12, 30), 2) == (dt.date(9999, 12, 30), dt.date.max)
+    with pytest.raises(ValidationError, match="3 trading days from 9999-12-30 run past 9999-12-31"):
+        trading_dates(dt.date(9999, 12, 30), 3)
 
 
 def test_generated_csv_round_trips():

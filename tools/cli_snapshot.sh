@@ -81,6 +81,17 @@ last=$("$PYTHON" -c "from logperiodic import ingest; print(ingest(open('crash.cs
 run classify_dates classify --input crash.csv --scan-table crash_scan.csv \
     --review-first "$first" --review-last "$last"
 
+# reader edge cases: a scan table saved with a UTF-8 byte-order mark, a CSV
+# that is not UTF-8 (0xE9 is Latin-1 e-acute), and a bad close on file line 5
+# behind a comment line and a blank line
+{ printf '\357\273\277'; cat crash_scan.csv; } >crash_scan_bom.csv
+run classify_bom classify --input crash.csv --scan-table crash_scan_bom.csv \
+    --review-first 410 --review-last 470
+printf 'date,close\n2020-01-02,100\n2020-01-03,10\351\n' >latin1.csv
+run ingest_latin1 ingest --input latin1.csv
+printf '# config: {}\ndate,close\n2020-01-02,100\n\n2020-01-03,-5\n' >commented.csv
+run ingest_commented ingest --input commented.csv
+
 run help --help
 for command in ingest resample synth fit scan classify; do
     run "help_$command" "$command" --help
