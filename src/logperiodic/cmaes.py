@@ -14,8 +14,8 @@ all running runs as one (k, n) array, each problem's rows contiguous and
 in problem order, together with the row range of each problem. A run
 ends when its evaluation budget is spent, when its step size diverges,
 on one of the two termination criteria of Hansen, "The CMA Evolution
-Strategy: A Tutorial" (arXiv:1604.00772), or when it cannot catch up with
-a sibling run:
+Strategy: A Tutorial" (arXiv:1604.00772), when it cannot catch up with
+a sibling run, or when it has reached a better sibling's basin:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. Only a
@@ -30,8 +30,15 @@ a sibling run:
   eigenvalue of C) is below _CATCH_UP_STEP in box units. The run that
   leads its problem never stops this way, so the returned best is never
   cut short, and a search with one restart never stops this way at all.
-  It is the one criterion that reads other runs, and only those of the
-  same problem.
+- Same basin: the run trails its problem's leader (the first of the
+  problem's runs, running or stopped, with the least best value), and its
+  best point lies within _SAME_BASIN box units of the leader's best point
+  in every coordinate: it is taken to be headed for the leader's minimum.
+  A run that ties the leader does not trail it, and the leader and
+  a search with one restart never stop this way.
+
+Catch-up and same basin are the only criteria that read other runs, and
+only those of the same problem.
 
 Everything is driven by caller-supplied numpy Generators, one per problem:
 identical generators give bit-identical runs, alone or in any batch.
@@ -61,6 +68,10 @@ _TOL_X = 1e-12
 _CATCH_UP = 0.1
 _CATCH_UP_STEP = 1e-2
 
+# Same-basin rule: a trailing run whose best point lies this close (box units,
+# in every coordinate) to its leader's best point stops.
+_SAME_BASIN = 1e-3
+
 
 @dataclass(frozen=True)
 class CmaResult:
@@ -86,12 +97,13 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     depend neither on `restarts` nor on the other problems.
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
-    diverging step size, or when it cannot catch up with a strictly better
-    run of its own problem; a stopped run leaves the batch. Under the
-    catch-up rule the generation at which a trailing run stops depends on
-    the best values of the other runs of its problem, so adding restarts
-    can end a run earlier; the leading run of each problem always finishes,
-    and with restarts = 1 the rule never fires.
+    diverging step size, when it cannot catch up with a strictly better
+    run of its own problem, or when its best point lies within _SAME_BASIN
+    of the best point of such a run, the leader of its problem; a stopped
+    run leaves the batch. Under these two rules the generation at which a
+    trailing run stops depends on the other runs of its problem, so adding
+    restarts can end a run earlier; the leading run of each problem always
+    finishes, and with restarts = 1 neither rule fires.
     """
     per_problem = max(1, restarts)
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // per_problem.
@@ -223,17 +235,23 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
                             np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
         stop |= sigma * spread < tol_x
         stop |= ~np.isfinite(sigma) | (sigma > 1e6)
-        # catch-up: behind its problem's leader, the best of a TolFun history
-        # ago did not move, or moved too little with too small a step to close the gap
+        # the rules between runs: each running run's leader is the run of its
+        # problem, running or stopped, with the least best value (the first such)
+        lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[ids // per_problem]
+        leader, now = best_f[lead], best_f[ids]
+        trailing = leader < now
+        # catch-up: behind the leader, the best of a TolFun history ago did
+        # not move, or moved too little with too small a step to close the gap
         slot = gen % past_best.shape[1]
         if gen >= past_best.shape[1]:
-            leader = np.minimum.reduceat(best_f, firsts)[ids // per_problem]
-            then, now = past_best[ids, slot], best_f[ids]
+            then = past_best[ids, slot]
             with np.errstate(invalid="ignore"):  # inf - inf where a run has no finite best
                 creeping = ((then - now <= _CATCH_UP * (now - leader))
                             & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
-            stop |= (leader < now) & ((then == now) | creeping)
-        past_best[ids, slot] = best_f[ids]
+            stop |= trailing & ((then == now) | creeping)
+        past_best[ids, slot] = now
+        # same basin: behind the leader, with its best point next to the leader's
+        stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop

@@ -160,7 +160,8 @@ def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, worker
         # every CLI call that runs no pool would pay for at import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the executor forks all max_workers processes at once: start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_chunk_task, tasks))  # pool.map keeps task order
     else:
         chunks = [_chunk_task(t) for t in tasks]

@@ -37,5 +37,32 @@ def exact_bubble():
     return params, generate(SynthSpec(params=params, n=200, noise_sigma=0.0, seed=3))
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool started, in order; the pools map in this process.
+
+    Replaces concurrent.futures.ProcessPoolExecutor, so no process is started.
+    """
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
 def rng_for(seed):
     return np.random.default_rng(seed)

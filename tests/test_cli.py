@@ -259,6 +259,27 @@ def test_workers_env_var(bubble_csv, tmp_path, monkeypatch, capsys):
     assert embedded["workers"] == 1
 
 
+def test_scan_records_the_requested_workers(bubble_csv, tmp_path, pool_sizes):
+    # the pool starts one process per task (two endpoints, one chunk each), and
+    # the embedded config keeps the count asked for, so outputs stay comparable
+    path, _ = bubble_csv
+    texts = []
+    for workers in ("1", "5000"):
+        out = tmp_path / f"scan{workers}.csv"
+        assert main([
+            "scan", "--input", str(path),
+            "--max-window", "120", "--min-window", "40", "--window-step", "20",
+            "--max-evaluations", "300", "--restarts", "1", "--workers", workers,
+            "--t2-first", "409", "--t2-last", "419", "--t2-step", "10", "--seed", "42",
+            "--output", str(out),
+        ]) == 0
+        texts.append(out.read_text())
+    assert pool_sizes == [2]
+    embedded = json.loads(texts[1].splitlines()[0].removeprefix("# config: "))
+    assert embedded["workers"] == 5000
+    assert texts[0].splitlines()[1:] == texts[1].splitlines()[1:]
+
+
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     # a process pinned to 2 of 64 CPUs starts 2 workers, not 64
     monkeypatch.delenv("LOGPERIODIC_WORKERS", raising=False)

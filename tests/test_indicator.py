@@ -161,6 +161,15 @@ def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):
     assert pts == expected
 
 
+def test_pool_starts_no_more_processes_than_tasks(bubble_series, pool_sizes):
+    search = SearchConfig(max_evaluations=100, restarts=1)
+    # SMALL_SCHEME's 5 windows make one task per endpoint: 3 endpoints, 3 tasks
+    runs = [scan(bubble_series, 399, 419, 10, SMALL_SCHEME, search, base_seed=42, workers=workers)
+            for workers in (1, 2, 5000)]
+    assert pool_sizes == [2, 3]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_chunked_outcomes_equal_per_window_fits(bubble_series):
     # 18 windows per endpoint make two chunks of 9, below the chunk cap, and
     # the two endpoints make four tasks, so workers=2 runs them on the pool.

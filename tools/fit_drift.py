@@ -1,13 +1,18 @@
 """Compare the desk-window fits of two source trees, or of one tree under two host setups.
 
-    python tools/fit_drift.py <src-a> <src-b> [--env-a KEY=VALUE]... [--env-b KEY=VALUE]...
+    python tools/fit_drift.py <src-a> <src-b> [--held-out]
+        [--env-a KEY=VALUE]... [--env-b KEY=VALUE]...
 
 <src-a> and <src-b> are directories that hold a `logperiodic` package (a
 checkout's `src`). Each tree fits, in its own subprocess and serially, the
 windows of the benchmark's desk endpoints: the bubble series at seeds 0-7
 at t2 = 659 and 667 (windows 650..30 step 62), and the null series at
 seeds 0-5 at t2 = 659 (650..30 step 31), each endpoint under its own
-series seed as the scan seed. Each endpoint's windows are fitted as one
+series seed as the scan seed. `--held-out` fits, in their place, 672
+windows on seeds the desk set does not use: the bubble series at seeds
+8-15 and the null series at seeds 6-13, each at t2 = 655 and 663 (650..30
+step 31), so that a constant tuned on the desk windows is checked on
+windows it was not tuned on. Each endpoint's windows are fitted as one
 lockstep search through `calibrate._fit_windows` with the scan's window
 seeds, which gives every window the fit a scan gives it. The series come
 from `perfbench/inputs.py`, which does not use the library, read back
@@ -36,22 +41,28 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-# (series kind, seeds, endpoints, window step)
-DESK = (
-    ("bubble", range(8), (659, 667), 62),
-    ("null", range(6), (659,), 31),
-)
+# window sets: (series kind, seeds, endpoints, window step) per group
+SETS = {
+    "desk": (
+        ("bubble", range(8), (659, 667), 62),
+        ("null", range(6), (659,), 31),
+    ),
+    "held-out": (
+        ("bubble", range(8, 16), (655, 663), 31),
+        ("null", range(6, 14), (655, 663), 31),
+    ),
+}
 
 
-def collect() -> dict:
-    """Every desk window's fit under the library on sys.path, as JSON-ready records."""
+def collect(name: str) -> dict:
+    """Every window fit of set `name` under the library on sys.path, as JSON-ready records."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import inputs
     import logperiodic as lp
     from logperiodic.calibrate import _fit_windows
 
     records = []
-    for kind, seeds, endpoints, step in DESK:
+    for kind, seeds, endpoints, step in SETS[name]:
         make = inputs.bubble_log_prices if kind == "bubble" else inputs.null_log_prices
         scheme = lp.WindowScheme(650, 30, step)
         for seed in seeds:
@@ -71,11 +82,11 @@ def collect() -> dict:
     return {"library": lp.__file__, "records": records}
 
 
-def run_tree(src: str, settings: dict) -> list[dict]:
+def run_tree(src: str, settings: dict, name: str) -> list[dict]:
     src = Path(src).resolve()
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", **settings)
-    done = subprocess.run([sys.executable, __file__, "--collect"], env=env, capture_output=True,
-                          text=True, check=True)
+    done = subprocess.run([sys.executable, __file__, "--collect", name], env=env,
+                          capture_output=True, text=True, check=True)
     out = json.loads(done.stdout)
     if Path(out["library"]).resolve().parent != src / "logperiodic":
         raise RuntimeError(f"imported logperiodic from {out['library']}, not {src}")
@@ -132,12 +143,14 @@ def setting(text: str) -> tuple[str, str]:
 
 
 def main(argv) -> int:
-    if argv == ["--collect"]:
-        json.dump(collect(), sys.stdout)
+    if argv[:1] == ["--collect"]:
+        json.dump(collect(argv[1]), sys.stdout)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a")
     parser.add_argument("src_b")
+    parser.add_argument("--held-out", action="store_true",
+                        help="fit the 672 held-out windows in place of the 302 desk windows")
     parser.add_argument("--env-a", type=setting, action="append", default=[], metavar="KEY=VALUE")
     parser.add_argument("--env-b", type=setting, action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
@@ -146,7 +159,7 @@ def main(argv) -> int:
         parser.error("both source arguments must be directories holding a logperiodic package")
     settings = [dict(args.env_a), dict(args.env_b)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        a, b = pool.map(run_tree, trees, settings)
+        a, b = pool.map(run_tree, trees, settings, ["held-out" if args.held_out else "desk"] * 2)
     print("\n".join(report(a, b)))
     return 0
 
