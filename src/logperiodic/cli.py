@@ -2,8 +2,9 @@
 
 Configuration precedence is flags > config file > built-in defaults; the
 config file is flat `key = value` text with keys named after RunConfig
-fields. Every output embeds the resolved configuration (and seed), so a
-result file is sufficient to reproduce itself.
+fields. Each `cmd_*` handler returns its record, a CSV body or a JSON
+object, and `main` alone embeds the resolved configuration (and seed) and
+writes the output, so a result file is sufficient to reproduce itself.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 validation, 5 computation.
 """
@@ -17,6 +18,7 @@ import datetime as _dt
 import enum
 import fractions
 import json
+import math
 import os
 import sys
 import typing
@@ -93,11 +95,16 @@ class _RunFields:
 
 
 def _check_setting(key: str, value, source: str):
-    """Stride and workers must be >= 1 and format csv or json, wherever they are set."""
+    """Stride and workers must be >= 1, format csv or json and threshold a
+    finite number in (0, 1), wherever they are set."""
     if key in ("stride", "workers") and value < 1:
         raise ValidationError(f"{source}: {key} must be >= 1, got {value}")
     if key == "format" and value not in ("csv", "json"):
         raise ValidationError(f"{source}: format must be csv or json, got {value!r}")
+    if key == "threshold" and not math.isfinite(value):
+        raise ValidationError(f"{source}: threshold: expected a finite number, got {value}")
+    if key == "threshold" and not 0 < value < 1:
+        raise ValidationError(f"{source}: threshold must lie in (0, 1), got {value}")
     return value
 
 
@@ -188,18 +195,29 @@ def config_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def _json_default(obj):
+def _jsonable(obj):
+    """obj in JSON's types, a non-finite float as "nan", "inf" or "-inf" (RFC 8259 has no such number)."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
     if isinstance(obj, fractions.Fraction):
         return {"numerator": obj.numerator, "denominator": obj.denominator, "value": float(obj)}
     if isinstance(obj, _dt.date):
         return obj.isoformat()
     if isinstance(obj, enum.Enum):
         return obj.value
-    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+    return obj
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, default=_json_default, sort_keys=True, indent=2) + "\n"
+def _render(cfg: RunConfig, record: str | dict) -> str:
+    """A handler's CSV body or JSON object with the run's config in a `# config:` line or "config" key."""
+    csv = isinstance(record, str)
+    payload = config_dict(cfg) if csv else {"config": config_dict(cfg), **record}
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=None if csv else 2, allow_nan=False)
+    return f"# config: {text}\n{record}" if csv else text + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -216,24 +234,17 @@ def _read_series(cfg: RunConfig) -> series_mod.PriceSeries:
     return series_mod.resample(series_mod.ingest(_read_text(cfg.input)), cfg.stride)
 
 
-def _csv_with_config(cfg: RunConfig, body: str) -> str:
-    header = "# config: " + json.dumps(config_dict(cfg), default=_json_default, sort_keys=True)
-    return header + "\n" + body
+def cmd_ingest(cfg: RunConfig, args) -> str:
+    return series_mod.emit_csv(_read_series(cfg))
 
 
-def cmd_ingest(cfg: RunConfig, args) -> int:
-    loaded = _read_series(cfg)
-    _write_output(_csv_with_config(cfg, series_mod.emit_csv(loaded)), cfg.output)
-    return EXIT_OK
-
-
-def cmd_resample(cfg: RunConfig, args) -> int:
+def cmd_resample(cfg: RunConfig, args) -> str:
     if cfg.stride < 2:
         raise ValidationError("resample needs --stride >= 2")
     return cmd_ingest(cfg, args)  # reading the input applies the stride
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
+def cmd_synth(cfg: RunConfig, args) -> str:
     params = LpplsParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(LpplsParams)})
     spec = synth_mod.SynthSpec(
         params=params,
@@ -243,30 +254,20 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         noise_phi=args.noise_phi,
         start_date=_iso_date(args.start_date, "--start-date"),
     )
-    generated = synth_mod.generate(spec)
-    _write_output(_csv_with_config(cfg, series_mod.emit_csv(generated)), cfg.output)
-    return EXIT_OK
+    return series_mod.emit_csv(synth_mod.generate(spec))
 
 
-def _fit_payload(cfg, window, result, report):
-    qualification = dataclasses.asdict(report)
-    sign = qualification.pop("sign")
-    return {
-        "config": config_dict(cfg),
-        "window": {"t1": window.t1, "t2": window.t2, "length": window.length},
-        **dataclasses.asdict(result),
-        "qualification": qualification,
-        "sign": sign,
-    }
-
-
-def cmd_fit(cfg: RunConfig, args) -> int:
+def cmd_fit(cfg: RunConfig, args) -> dict:
     loaded = _read_series(cfg)
     window = calibrate.Window(args.t1, args.t2)
     result = calibrate.fit(loaded, window, cfg.search_config())
-    report = qualify_fit(result, loaded, window, cfg.filter_config())
-    _write_output(_dump_json(_fit_payload(cfg, window, result, report)), cfg.output)
-    return EXIT_OK
+    qualification = dataclasses.asdict(qualify_fit(result, loaded, window, cfg.filter_config()))
+    return {
+        "window": {"t1": window.t1, "t2": window.t2, "length": window.length},
+        **dataclasses.asdict(result),
+        "sign": qualification.pop("sign"),
+        "qualification": qualification,
+    }
 
 
 def _scan_row(loaded, p) -> dict:
@@ -279,13 +280,12 @@ def _scan_row(loaded, p) -> dict:
 def _scan_csv(loaded, points) -> str:
     lines = [SCAN_HEADER]
     for p in points:
-        row = _scan_row(loaded, p)
-        date = row.pop("date")
-        lines.append(",".join([date.isoformat() if date else "", *map(repr, row.values())]))
+        date, *cells = _scan_row(loaded, p).values()
+        lines.append(",".join([date.isoformat(), *map(repr, cells)]))
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(cfg: RunConfig, args) -> int:
+def cmd_scan(cfg: RunConfig, args) -> str | dict:
     cfg.workers = cfg.resolved_workers()
     loaded = _read_series(cfg)
     scheme = cfg.scheme()
@@ -307,14 +307,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
             f"no endpoint in [{first}, {last}] has {scheme.max_len} points of history"
         )
     if (cfg.format or "csv") == "json":
-        payload = {
-            "config": config_dict(cfg),
-            "points": [_scan_row(loaded, p) for p in points],
-        }
-        _write_output(_dump_json(payload), cfg.output)
-    else:
-        _write_output(_csv_with_config(cfg, _scan_csv(loaded, points)), cfg.output)
-    return EXIT_OK
+        return {"points": [_scan_row(loaded, p) for p in points]}
+    return _scan_csv(loaded, points)
 
 
 def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
@@ -362,8 +356,6 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
     except ValueError:
         pass
     target = _iso_date(raw, "review bound")
-    if loaded.dates is None:
-        raise ValidationError("series has no dates; use integer review bounds")
     # the dates are validated as strictly increasing
     if is_start:
         i = bisect.bisect_left(loaded.dates, target)
@@ -376,7 +368,7 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
     return i
 
 
-def cmd_classify(cfg: RunConfig, args) -> int:
+def cmd_classify(cfg: RunConfig, args) -> dict:
     loaded = _read_series(cfg)
     points = read_scan_csv(_read_text(args.scan_table))
     lo = _resolve_review_bound(loaded, args.review_first, True)
@@ -384,21 +376,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     assessment = assess(
         loaded, points, (lo, hi), cfg.resolved_threshold(), sign=args.sign
     )
-    payload = {
-        "config": config_dict(cfg),
-        "review": {"first": lo, "last": hi},
-        "sign": args.sign,
-        **dataclasses.asdict(assessment),
-    }
-    _write_output(_dump_json(payload), cfg.output)
-    return EXIT_OK
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=_FIELD_TYPES[name], default=None)
+    return {"review": {"first": lo, "last": hi}, "sign": args.sign, **dataclasses.asdict(assessment)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,16 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="validate a date,close CSV and normalize it")
-    _add_config_flags(p_ingest, ["input", "output"])
-    p_ingest.set_defaults(handler=cmd_ingest)
+    def command(handler, help: str, names) -> argparse.ArgumentParser:
+        """The subparser that runs `cmd_<name>`: --config, and a flag per RunConfig field in names."""
+        p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
+        p.add_argument("--config", help="flat key=value config file")
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_FIELD_TYPES[name], default=None)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_resample = sub.add_parser("resample", help="extract every stride-th point, anchored at the last")
-    _add_config_flags(p_resample, ["input", "stride", "output"])
-    p_resample.set_defaults(handler=cmd_resample)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic model-driven CSV")
-    _add_config_flags(p_synth, ["seed", "output"])
+    command(cmd_ingest, "validate a date,close CSV and normalize it", ["input", "output"])
+    command(cmd_resample, "extract every stride-th point, anchored at the last",
+            ["input", "stride", "output"])
+    p_synth = command(cmd_synth, "generate a synthetic model-driven CSV", ["seed", "output"])
     for name in ("tc", "m", "omega", "A", "B"):
         p_synth.add_argument("--" + name, type=float, required=True)
     p_synth.add_argument("--C1", type=float, default=0.0)
@@ -427,27 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=spec.noise_sigma)
     p_synth.add_argument("--noise-phi", dest="noise_phi", type=float, default=spec.noise_phi)
     p_synth.add_argument("--start-date", dest="start_date", default=spec.start_date.isoformat())
-    p_synth.set_defaults(handler=cmd_synth)
 
-    p_fit = sub.add_parser("fit", help="calibrate and qualify one window")
-    _add_config_flags(p_fit, ["input", "stride", "seed", "output"] + list(_LIBRARY_FIELDS))
+    p_fit = command(cmd_fit, "calibrate and qualify one window",
+                    ["input", "stride", "seed", "output"] + list(_LIBRARY_FIELDS))
     p_fit.add_argument("--t1", type=int, required=True)
     p_fit.add_argument("--t2", type=int, required=True)
-    p_fit.set_defaults(handler=cmd_fit)
 
-    p_scan = sub.add_parser("scan", help="confidence indicator over a range of endpoints")
-    _add_config_flags(
-        p_scan,
+    p_scan = command(
+        cmd_scan,
+        "confidence indicator over a range of endpoints",
         ["input", "stride", "max_window", "min_window", "window_step",
          "t2_first", "t2_last", "t2_step", "output", "format", "workers"]
         + list(_LIBRARY_FIELDS),
     )
     p_scan.add_argument("--seed", dest="seed", type=int, required=True,
                         help="base seed; required so scans are reproducible")
-    p_scan.set_defaults(handler=cmd_scan)
 
-    p_classify = sub.add_parser("classify", help="classify a crash from a scan table")
-    _add_config_flags(p_classify, ["input", "stride", "threshold", "output"])
+    p_classify = command(cmd_classify, "classify a crash from a scan table",
+                         ["input", "stride", "threshold", "output"])
     p_classify.add_argument("--scan-table", dest="scan_table", required=True,
                             help="CSV produced by the scan subcommand")
     p_classify.add_argument("--review-first", dest="review_first", required=True,
@@ -455,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--review-last", dest="review_last", required=True,
                             help="end of the review interval (index or YYYY-MM-DD)")
     p_classify.add_argument("--sign", choices=("positive", "negative"), default="positive")
-    p_classify.set_defaults(handler=cmd_classify)
 
     return parser
 
@@ -465,7 +442,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return args.handler(cfg, args)
+        record = args.handler(cfg, args)  # scan resolves cfg.workers, so render after it
+        _write_output(_render(cfg, record), cfg.output)
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -458,6 +458,21 @@ def test_default_threshold_follows_the_stride():
             "expected a finite number, got nan", id="threshold-nan",
         ),
         pytest.param(
+            ["resample", "--input", "{csv}", "--stride", "5", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "threshold = 7\n"}, {}, "run.cfg line 1: threshold must lie in (0, 1), got 7.0",
+            id="threshold-above-one-config",
+        ),
+        pytest.param(
+            ["resample", "--input", "{csv}", "--stride", "5", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "# run\nthreshold = nan\n"}, {},
+            "run.cfg line 2: threshold: expected a finite number, got nan", id="threshold-nan-config",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410", "--threshold", "0"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "--threshold: threshold must lie in (0, 1), got 0.0", id="threshold-zero-flag",
+        ),
+        pytest.param(
             SYNTH + ["--noise-sigma", "nan"], {}, {}, "noise_sigma must be finite and >= 0, got nan",
             id="noise-sigma-nan",
         ),
@@ -506,6 +521,11 @@ def test_default_threshold_follows_the_stride():
             ["ingest", "--input", "{tmp}/commented.csv"],
             {"commented.csv": "# config: {}\ndate,close\n2020-01-02,100\n\n2020-01-03,-5\n"}, {},
             "line 5: non-positive close '-5'", id="ingest-file-line-number",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{tmp}/one_cell.csv"],
+            {"one_cell.csv": "date,close\n2020-01-02,100\n2020-01-03\n"}, {},
+            "line 3: expected 'date,close', got '2020-01-03'", id="ingest-one-cell-row",
         ),
         pytest.param(
             ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
@@ -594,6 +614,44 @@ def test_exit_codes_end_without_traceback(argv, expected, bubble_csv, tmp_path, 
         assert err.startswith("usage: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which RFC 8259 has no token for."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_outputs_are_strict_json(bubble_csv, tmp_path, capsys):
+    """Non-finite floats are written as "nan", "inf" or "-inf", and a config
+    file made from an embedded config reproduces the output."""
+    path, _ = bubble_csv
+    (tmp_path / "scan.csv").write_text(SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n", encoding="utf-8")
+    no_rel_error = ["--max-rel-error", "inf"]
+    short_fit = ["fit", "--input", str(path), "--t1", "0", "--t2", "9", "--seed", "1", *no_rel_error]
+    records = {}
+    for name, argv in {
+        "fit": short_fit,
+        "scan": ["scan", "--input", str(path), "--seed", "1", "--workers", "1", "--format", "json",
+                 *SMALL_SCAN, *no_rel_error],
+        "classify": [arg.format(csv=path, tmp=tmp_path) for arg in CLASSIFY] + ["--review-first", "410"],
+    }.items():
+        assert main(argv) == 0
+        records[name] = _strict_json(capsys.readouterr().out)
+    fit_record = records["fit"]
+    assert fit_record["qualification"]["ar1_coefficient"] == "nan"  # under 12 points: no AR(1) test
+    assert fit_record["config"]["max_rel_error"] == records["scan"]["config"]["max_rel_error"] == "inf"
+    assert records["classify"]["crash_type"] == "Endogenous"
+
+    lines = [f"{key} = {value}" for key, value in fit_record["config"].items() if value is not None]
+    (tmp_path / "embedded.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["fit", "--t1", "0", "--t2", "9", "--config", str(tmp_path / "embedded.cfg")]) == 0
+    assert _strict_json(capsys.readouterr().out) == fit_record
+
+    assert main(["ingest", "--input", str(path), "--config", str(tmp_path / "embedded.cfg")]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert _strict_json(header.removeprefix("# config: "))["max_rel_error"] == "inf"
 
 
 def test_cold_import_loads_no_scipy():

@@ -158,6 +158,11 @@ def test_lomb_rejects_constant_residual():
     res = lomb_test((x, np.zeros(50)), 0.05)
     assert not res.passed
     assert res.false_alarm_probability == 1.0
+    # every residual at one abscissa (span 0): no frequency resolution to scan
+    res = lomb_test((np.full(50, 1.5), np.cos(np.arange(50.0))), 0.05)
+    assert not res.passed
+    assert res.false_alarm_probability == 1.0
+    assert math.isnan(res.peak_frequency)
 
 
 def test_lomb_white_noise_rate_close_to_alpha():
@@ -230,6 +235,16 @@ def test_ar1_zero_residuals_fail():
     assert not res.passed
 
 
+def test_ar1_exact_decay_passes_with_zero_standard_error():
+    # eps[k+1] = 0.5 eps[k] exactly: phi = 0.5 with no innovation, so se is
+    # 0, t is -inf and the MacKinnon p-value is clipped to 0
+    res = ar1_test(0.5 ** np.arange(30.0), 0.05)
+    assert res.ar1_coefficient == 0.5
+    assert res.t_stat == -math.inf
+    assert res.p_value == 0.0
+    assert res.passed
+
+
 def test_ar1_requires_minimum_length():
     with pytest.raises(ValidationError):
         ar1_test(np.zeros(11), 0.05)
@@ -291,6 +306,12 @@ def test_qualify_negative_bubble_sign():
     report = qualify(result, s, w, FilterConfig())
     assert result.params.B > 0
     assert report.sign is BubbleSign.NEGATIVE
+
+
+def test_qualify_zero_B_has_no_sign(strong_bubble):
+    _, s = strong_bubble
+    report = qualify(_fit_result(make_params(B=0.0, tc=425.0)), s, Window(320, 419), FilterConfig())
+    assert report.sign is BubbleSign.INDETERMINATE
 
 
 def test_qualified_equals_conjunction(strong_bubble):

@@ -156,6 +156,13 @@ def test_series_validation():
         PriceSeries([1.0, 2.0], [dt.date(2020, 1, 2)], 1)
     with pytest.raises(ValidationError):
         PriceSeries([1.0, 2.0], [dt.date(2020, 1, 2), dt.date(2020, 1, 2)], 1)
+    with pytest.raises(ValidationError, match="stride must be >= 1, got 0"):
+        PriceSeries([1.0, 2.0], None, stride=0)
+
+
+def test_series_repr():
+    assert repr(ingest(CSV3)) == "PriceSeries(n=3, stride=1, 2020-03-02..2020-03-04)"
+    assert repr(PriceSeries([1.0, 2.0], None, 5)) == "PriceSeries(n=2, stride=5)"
 
 
 def test_series_immutable():

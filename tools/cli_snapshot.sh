@@ -55,6 +55,14 @@ run fit_defaults fit --input bubble.csv --t1 320 --t2 419 --output fit_defaults.
 run fit_config fit --input bubble.csv --t1 320 --t2 419 --config fit.cfg --output fit_config.json
 run fit_long fit --input bubble.csv --t1 120 --t2 419 --seed 3 --output fit_long.json
 run fit_outside fit --input bubble.csv --t1 0 --t2 9999 --seed 1
+# a window under 12 points gets no AR(1) test (its coefficient is NaN), an
+# infinite filter bound lands in the embedded config, and a threshold
+# outside (0, 1) is refused wherever it is set
+run fit_short_window fit --input bubble.csv --t1 0 --t2 9 --seed 1
+# shellcheck disable=SC2086
+run fit_inf_filter fit --input bubble.csv --t1 320 --t2 419 --max-rel-error inf $FAST
+printf 'threshold = 7\n' >bad_threshold.cfg
+run resample_bad_threshold resample --input bubble.csv --stride 5 --config bad_threshold.cfg
 
 # the 420-point bubble followed by a 60-step decline
 "$PYTHON" - <<'EOF'
