@@ -1,10 +1,13 @@
 """Batch CLI over the pipeline: ingest, resample, synth, fit, scan, classify.
 
-Configuration precedence is flags > config file > built-in defaults; the
-config file is flat `key = value` text with keys named after RunConfig
-fields. Each `cmd_*` handler returns its record, a CSV body or a JSON
-object, and `main` alone embeds the resolved configuration (and seed) and
-writes the output, so a result file is sufficient to reproduce itself.
+Each subcommand states its settings once, as the list of RunConfig fields
+it is built with in `build_parser`. That list gives its flags, the only
+keys its flat `key = value` config file may set and the keys its output
+records; a required setting may come from either. Precedence is flags >
+config file > RunConfig defaults. Each `cmd_*` handler takes the resolved
+RunConfig and returns its record, a CSV body or a JSON object, and `main`
+alone embeds the subcommand's settings and writes the output, so a result
+file is sufficient to reproduce itself.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 validation, 5 computation.
 """
@@ -60,6 +63,24 @@ class _RunFields:
     output: str | None = None
     format: str | None = None
     workers: int | None = None
+    # synth's model and series, fit's window, classify's table, review and sign
+    tc: float | None = None
+    m: float | None = None
+    omega: float | None = None
+    A: float | None = None
+    B: float | None = None
+    C1: float = 0.0
+    C2: float = 0.0
+    n: int | None = None
+    noise_sigma: float = synth_mod.SynthSpec.noise_sigma
+    noise_phi: float = synth_mod.SynthSpec.noise_phi
+    start_date: str = synth_mod.SynthSpec.start_date.isoformat()
+    t1: int | None = None
+    t2: int | None = None
+    scan_table: str | None = None
+    review_first: str | None = None  # an index or a YYYY-MM-DD date
+    review_last: str | None = None
+    sign: str = "positive"
 
     def _library_values(self, cls) -> dict:
         return {f.name: getattr(self, key) for key, (owner, f) in _LIBRARY_FIELDS.items() if owner is cls}
@@ -94,13 +115,16 @@ class _RunFields:
         return os.cpu_count() or 1
 
 
+_CHOICES = {"format": ("csv", "json"), "sign": ("positive", "negative")}
+
+
 def _check_setting(key: str, value, source: str):
-    """Stride and workers must be >= 1, format csv or json and threshold a
-    finite number in (0, 1), wherever they are set."""
+    """Stride and workers must be >= 1, format and sign one of their choices
+    and threshold a finite number in (0, 1), wherever they are set."""
     if key in ("stride", "workers") and value < 1:
         raise ValidationError(f"{source}: {key} must be >= 1, got {value}")
-    if key == "format" and value not in ("csv", "json"):
-        raise ValidationError(f"{source}: format must be csv or json, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValidationError(f"{source}: {key} must be {' or '.join(_CHOICES[key])}, got {value!r}")
     if key == "threshold" and not math.isfinite(value):
         raise ValidationError(f"{source}: threshold: expected a finite number, got {value}")
     if key == "threshold" and not 0 < value < 1:
@@ -155,9 +179,13 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def load_config_file(path: str) -> dict:
-    """Flat `key = value` file, # comments allowed; keys are RunConfig fields."""
-    values = {}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def load_config_file(path: str, command: str, settings) -> dict:
+    """Flat `key = value` file, # comments allowed; each key one of the subcommand's settings, once."""
+    values, key_lines = {}, {}
     for line_no, line in series_mod._data_lines(_read_text(path)):
         if "=" not in line:
             raise ValidationError(f"{path} line {line_no}: expected 'key = value'")
@@ -165,6 +193,11 @@ def load_config_file(path: str) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise ValidationError(f"{path} line {line_no}: unknown config key {key!r}")
+        if key not in settings:
+            raise ValidationError(f"{path} line {line_no}: {key} is not a setting of {command}")
+        if key in key_lines:
+            raise ValidationError(f"{path} line {line_no}: {key} is set again, first on line {key_lines[key]}")
+        key_lines[key] = line_no
         field_type = _FIELD_TYPES[key]
         try:
             value = field_type(raw)
@@ -177,22 +210,20 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for name in _FIELD_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, _check_setting(name, value, "--" + name.replace("_", "-")))
-    return cfg
+    """The subcommand's settings: flags over its config file over RunConfig's defaults."""
+    values = load_config_file(args.config, args.command, args.settings) if args.config else {}
+    for name in args.settings:
+        if (value := getattr(args, name)) is not None:
+            values[name] = _check_setting(name, value, _flag(name))
+    missing = [_flag(name) for name in args.required if name not in values]
+    if missing:
+        args.usage_error("the following arguments are required: " + ", ".join(missing))
+    return RunConfig(**values)
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    """The recorded config; `workers` is as given, since only scan resolves it."""
-    out = dataclasses.asdict(cfg)
-    out["threshold"] = cfg.resolved_threshold()
-    return out
+def config_dict(cfg: RunConfig, settings) -> dict:
+    """The subcommand's settings as recorded: `threshold` resolved, `workers` as scan resolved it."""
+    return {name: cfg.resolved_threshold() if name == "threshold" else getattr(cfg, name) for name in settings}
 
 
 def _jsonable(obj):
@@ -212,10 +243,10 @@ def _jsonable(obj):
     return obj
 
 
-def _render(cfg: RunConfig, record: str | dict) -> str:
+def _render(config: dict, record: str | dict) -> str:
     """A handler's CSV body or JSON object with the run's config in a `# config:` line or "config" key."""
     csv = isinstance(record, str)
-    payload = config_dict(cfg) if csv else {"config": config_dict(cfg), **record}
+    payload = config if csv else {"config": config, **record}
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=None if csv else 2, allow_nan=False)
     return f"# config: {text}\n{record}" if csv else text + "\n"
 
@@ -234,32 +265,28 @@ def _read_series(cfg: RunConfig) -> series_mod.PriceSeries:
     return series_mod.resample(series_mod.ingest(_read_text(cfg.input)), cfg.stride)
 
 
-def cmd_ingest(cfg: RunConfig, args) -> str:
+def cmd_ingest(cfg: RunConfig) -> str:
     return series_mod.emit_csv(_read_series(cfg))
 
 
-def cmd_resample(cfg: RunConfig, args) -> str:
+def cmd_resample(cfg: RunConfig) -> str:
     if cfg.stride < 2:
         raise ValidationError("resample needs --stride >= 2")
-    return cmd_ingest(cfg, args)  # reading the input applies the stride
+    return cmd_ingest(cfg)  # reading the input applies the stride
 
 
-def cmd_synth(cfg: RunConfig, args) -> str:
-    params = LpplsParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(LpplsParams)})
+def cmd_synth(cfg: RunConfig) -> str:
+    params = LpplsParams(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(LpplsParams)})
     spec = synth_mod.SynthSpec(
-        params=params,
-        n=args.n,
-        noise_sigma=args.noise_sigma,
-        seed=cfg.seed,
-        noise_phi=args.noise_phi,
-        start_date=_iso_date(args.start_date, "--start-date"),
+        params=params, n=cfg.n, noise_sigma=cfg.noise_sigma, seed=cfg.seed,
+        noise_phi=cfg.noise_phi, start_date=_iso_date(cfg.start_date, "start_date"),
     )
     return series_mod.emit_csv(synth_mod.generate(spec))
 
 
-def cmd_fit(cfg: RunConfig, args) -> dict:
+def cmd_fit(cfg: RunConfig) -> dict:
     loaded = _read_series(cfg)
-    window = calibrate.Window(args.t1, args.t2)
+    window = calibrate.Window(cfg.t1, cfg.t2)
     result = calibrate.fit(loaded, window, cfg.search_config())
     qualification = dataclasses.asdict(qualify_fit(result, loaded, window, cfg.filter_config()))
     return {
@@ -285,7 +312,7 @@ def _scan_csv(loaded, points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(cfg: RunConfig, args) -> str | dict:
+def cmd_scan(cfg: RunConfig) -> str | dict:
     cfg.workers = cfg.resolved_workers()
     loaded = _read_series(cfg)
     scheme = cfg.scheme()
@@ -368,15 +395,13 @@ def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
     return i
 
 
-def cmd_classify(cfg: RunConfig, args) -> dict:
+def cmd_classify(cfg: RunConfig) -> dict:
     loaded = _read_series(cfg)
-    points = read_scan_csv(_read_text(args.scan_table))
-    lo = _resolve_review_bound(loaded, args.review_first, True)
-    hi = _resolve_review_bound(loaded, args.review_last, False)
-    assessment = assess(
-        loaded, points, (lo, hi), cfg.resolved_threshold(), sign=args.sign
-    )
-    return {"review": {"first": lo, "last": hi}, "sign": args.sign, **dataclasses.asdict(assessment)}
+    points = read_scan_csv(_read_text(cfg.scan_table))
+    lo = _resolve_review_bound(loaded, cfg.review_first, True)
+    hi = _resolve_review_bound(loaded, cfg.review_last, False)
+    assessment = assess(loaded, points, (lo, hi), cfg.resolved_threshold(), sign=cfg.sign)
+    return {"review": {"first": lo, "last": hi}, "sign": cfg.sign, **dataclasses.asdict(assessment)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,64 +411,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(handler, help: str, names) -> argparse.ArgumentParser:
-        """The subparser that runs `cmd_<name>`: --config, and a flag per RunConfig field in names."""
+    def command(handler, help: str, names, required=()) -> None:
+        """The subparser that runs `cmd_<name>` on the RunConfig fields in names and required."""
         p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
         p.add_argument("--config", help="flat key=value config file")
-        for name in names:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_FIELD_TYPES[name], default=None)
-        p.set_defaults(handler=handler)
-        return p
+        for name in (*required, *names):
+            p.add_argument(_flag(name), dest=name, type=_FIELD_TYPES[name], default=None,
+                           help="required, here or in --config" if name in required else None)
+        p.set_defaults(handler=handler, settings=(*required, *names), required=required, usage_error=p.error)
 
     command(cmd_ingest, "validate a date,close CSV and normalize it", ["input", "output"])
     command(cmd_resample, "extract every stride-th point, anchored at the last",
             ["input", "stride", "output"])
-    p_synth = command(cmd_synth, "generate a synthetic model-driven CSV", ["seed", "output"])
-    for name in ("tc", "m", "omega", "A", "B"):
-        p_synth.add_argument("--" + name, type=float, required=True)
-    p_synth.add_argument("--C1", type=float, default=0.0)
-    p_synth.add_argument("--C2", type=float, default=0.0)
-    p_synth.add_argument("--n", type=int, required=True)
-    spec = synth_mod.SynthSpec
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=spec.noise_sigma)
-    p_synth.add_argument("--noise-phi", dest="noise_phi", type=float, default=spec.noise_phi)
-    p_synth.add_argument("--start-date", dest="start_date", default=spec.start_date.isoformat())
-
-    p_fit = command(cmd_fit, "calibrate and qualify one window",
-                    ["input", "stride", "seed", "output"] + list(_LIBRARY_FIELDS))
-    p_fit.add_argument("--t1", type=int, required=True)
-    p_fit.add_argument("--t2", type=int, required=True)
-
-    p_scan = command(
-        cmd_scan,
-        "confidence indicator over a range of endpoints",
-        ["input", "stride", "max_window", "min_window", "window_step",
-         "t2_first", "t2_last", "t2_step", "output", "format", "workers"]
-        + list(_LIBRARY_FIELDS),
-    )
-    p_scan.add_argument("--seed", dest="seed", type=int, required=True,
-                        help="base seed; required so scans are reproducible")
-
-    p_classify = command(cmd_classify, "classify a crash from a scan table",
-                         ["input", "stride", "threshold", "output"])
-    p_classify.add_argument("--scan-table", dest="scan_table", required=True,
-                            help="CSV produced by the scan subcommand")
-    p_classify.add_argument("--review-first", dest="review_first", required=True,
-                            help="start of the review interval (index or YYYY-MM-DD)")
-    p_classify.add_argument("--review-last", dest="review_last", required=True,
-                            help="end of the review interval (index or YYYY-MM-DD)")
-    p_classify.add_argument("--sign", choices=("positive", "negative"), default="positive")
-
+    command(cmd_synth, "generate a synthetic model-driven CSV",
+            ["C1", "C2", "noise_sigma", "noise_phi", "start_date", "seed", "output"],
+            required=("tc", "m", "omega", "A", "B", "n"))
+    command(cmd_fit, "calibrate and qualify one window",
+            ["input", "stride", "seed", "output", *_LIBRARY_FIELDS], required=("t1", "t2"))
+    command(cmd_scan, "confidence indicator over a range of endpoints",
+            ["input", "stride", "max_window", "min_window", "window_step", "t2_first", "t2_last",
+             "t2_step", "output", "format", "workers", *_LIBRARY_FIELDS], required=("seed",))
+    command(cmd_classify, "classify a crash from a scan table",
+            ["input", "stride", "threshold", "sign", "output"],
+            required=("scan_table", "review_first", "review_last"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        record = args.handler(cfg, args)  # scan resolves cfg.workers, so render after it
-        _write_output(_render(cfg, record), cfg.output)
+        record = args.handler(cfg)  # scan resolves cfg.workers, so record the settings after it
+        _write_output(_render(config_dict(cfg, args.settings), record), cfg.output)
         return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -111,11 +111,12 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
 def ingest(csv_text: str) -> PriceSeries:
     """Parse `date,close` CSV text into a stride-1 PriceSeries.
 
-    One row per trading day, dates strictly increasing, prices positive.
-    Rows are rejected rather than repaired; errors carry the offending
-    line's number in the text, comment and blank lines counted. A trailing
-    `index` column, as written by emit_csv, is accepted and ignored, as
-    are `#` comment lines and a leading UTF-8 byte-order mark.
+    One row per trading day, dates strictly increasing, prices positive,
+    and as many cells in every row as in the header. Rows are rejected
+    rather than repaired; errors carry the offending line's number in the
+    text, comment and blank lines counted. A trailing `index` column, as
+    written by emit_csv, is accepted and ignored, as are `#` comment lines
+    and a leading UTF-8 byte-order mark.
     """
     lines = _data_lines(csv_text)
     if not lines:
@@ -127,12 +128,13 @@ def ingest(csv_text: str) -> PriceSeries:
     if len(lines) == 1:
         raise ValidationError("CSV has a header but no data rows")
 
+    width, expected = len(header), ",".join(header)
     dates: list[_dt.date] = []
     prices: list[float] = []
     for line_no, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
-        if len(cells) < 2:
-            raise ValidationError(f"line {line_no}: expected 'date,close', got {line!r}")
+        if len(cells) != width:  # a thousands separator would split a close in two
+            raise ValidationError(f"line {line_no}: expected '{expected}', got {line!r}")
         date = _parse_date(cells[0], line_no)
         try:
             price = float(cells[1])

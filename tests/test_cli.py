@@ -10,7 +10,7 @@ import pytest
 
 import logperiodic
 from logperiodic import PriceSeries, SynthSpec, emit_csv, generate, ingest
-from logperiodic.cli import RunConfig, config_dict, main, read_scan_csv
+from logperiodic.cli import RunConfig, build_parser, config_dict, main, read_scan_csv
 from logperiodic.synth import trading_dates
 from conftest import bubble_params
 
@@ -206,14 +206,18 @@ def test_classify_date_bounds_snap_to_trading_days(bubble_csv, tmp_path, capsys)
               "--review-last", saturday_after_last.isoformat()]
     code = main(base + bounds)
     assert code == 0
-    plain = capsys.readouterr().out
-    assert json.loads(plain)["review"] == {"first": first, "last": last}
+    plain = json.loads(capsys.readouterr().out)
+    assert plain["review"] == {"first": first, "last": last}
 
-    # the same table saved with a UTF-8 byte-order mark classifies alike
+    # the same table saved with a UTF-8 byte-order mark classifies alike; only
+    # the recorded table path differs
     bom_table = tmp_path / "bom_scan.csv"
     bom_table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
     assert main(["classify", "--input", str(path), "--scan-table", str(bom_table), *bounds]) == 0
-    assert capsys.readouterr().out == plain
+    from_bom = json.loads(capsys.readouterr().out)
+    tables = plain["config"].pop("scan_table"), from_bom["config"].pop("scan_table")
+    assert tables == (str(table), str(bom_table))
+    assert from_bom == plain
 
     after_last = (series.dates[-1] + datetime.timedelta(days=1)).isoformat()
     before_first = (series.dates[0] - datetime.timedelta(days=1)).isoformat()
@@ -307,32 +311,55 @@ def test_only_scan_resolves_workers(bubble_csv, monkeypatch, capsys):
         assert main(["ingest", "--input", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert json.loads(outputs[0].splitlines()[0].removeprefix("# config: "))["workers"] is None
+    assert "workers" not in json.loads(outputs[0].splitlines()[0].removeprefix("# config: "))
+
+
+def _settings(command: str) -> tuple:
+    return build_parser().parse_args([command]).settings
+
+
+LIBRARY_KEYS = {
+    "m_min": 0.0, "m_max": 1.0, "omega_min": 1.0, "omega_max": 50.0,
+    "tc_extension": 1.0 / 3.0, "damping_floor": 1.0,
+    "population": 7, "max_evaluations": 2000, "restarts": 5,
+    "filter_m_min": 0.01, "filter_m_max": 0.99, "filter_omega_min": 2.0,
+    "filter_omega_max": 25.0, "filter_tc_extension": 0.2,
+    "oscillation_threshold": 2.5, "oscillation_divisor": 2.0, "max_rel_error": 0.20,
+    "lomb_alpha": 0.05, "ou_alpha": 0.05,
+}
 
 
 def test_config_surface_is_pinned():
-    """Flags and config-file keys are named after the library config fields.
+    """Each subcommand's flags, config-file keys and recorded keys, with their defaults.
 
-    Renaming a SearchConfig or FilterConfig field renames a flag and a
-    config key, so it must show up here.
+    The library keys are named after the SearchConfig and FilterConfig
+    fields: renaming one renames a flag and a config key, so it must show
+    up here.
     """
-    assert config_dict(RunConfig(workers=1)) == {
-        "input": None, "stride": 1, "max_window": 650, "min_window": 30, "window_step": 5,
-        "threshold": 0.05, "t2_first": None, "t2_last": None, "t2_step": 1, "seed": 0,
-        "output": None, "format": None, "workers": 1,
-        "m_min": 0.0, "m_max": 1.0, "omega_min": 1.0, "omega_max": 50.0,
-        "tc_extension": 1.0 / 3.0, "damping_floor": 1.0,
-        "population": 7, "max_evaluations": 2000, "restarts": 5,
-        "filter_m_min": 0.01, "filter_m_max": 0.99, "filter_omega_min": 2.0,
-        "filter_omega_max": 25.0, "filter_tc_extension": 0.2,
-        "oscillation_threshold": 2.5, "oscillation_divisor": 2.0, "max_rel_error": 0.20,
-        "lomb_alpha": 0.05, "ou_alpha": 0.05,
+    surface = {
+        "ingest": {"input": None, "output": None},
+        "resample": {"input": None, "stride": 1, "output": None},
+        "synth": {
+            "tc": None, "m": None, "omega": None, "A": None, "B": None, "n": None, "C1": 0.0, "C2": 0.0,
+            "noise_sigma": 0.0, "noise_phi": 0.0, "start_date": "2000-01-03", "seed": 0, "output": None,
+        },
+        "fit": {"t1": None, "t2": None, "input": None, "stride": 1, "seed": 0, "output": None, **LIBRARY_KEYS},
+        "scan": {
+            "seed": 0, "input": None, "stride": 1, "max_window": 650, "min_window": 30, "window_step": 5,
+            "t2_first": None, "t2_last": None, "t2_step": 1, "output": None, "format": None, "workers": None,
+            **LIBRARY_KEYS,
+        },
+        "classify": {
+            "scan_table": None, "review_first": None, "review_last": None, "input": None, "stride": 1,
+            "threshold": 0.05, "sign": "positive", "output": None,
+        },
     }
+    assert {command: config_dict(RunConfig(), _settings(command)) for command in surface} == surface
 
 
 def test_default_threshold_follows_the_stride():
-    daily = config_dict(RunConfig(stride=1))["threshold"]
-    weekly = config_dict(RunConfig(stride=5))["threshold"]
+    daily = config_dict(RunConfig(stride=1), _settings("classify"))["threshold"]
+    weekly = config_dict(RunConfig(stride=5), _settings("classify"))["threshold"]
     assert (type(daily), daily) == (float, 0.05)
     assert (type(weekly), weekly) == (float, 0.02)
 
@@ -341,7 +368,7 @@ def test_default_threshold_follows_the_stride():
     "argv, files, env, expected",
     [
         pytest.param(
-            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            FIT + ["--config", "{tmp}/run.cfg"],
             {"run.cfg": "# run\nseed = x\n"}, {}, "run.cfg line 2: seed", id="config-seed",
         ),
         pytest.param(
@@ -458,14 +485,34 @@ def test_default_threshold_follows_the_stride():
             "expected a finite number, got nan", id="threshold-nan",
         ),
         pytest.param(
-            ["resample", "--input", "{csv}", "--stride", "5", "--config", "{tmp}/run.cfg"],
-            {"run.cfg": "threshold = 7\n"}, {}, "run.cfg line 1: threshold must lie in (0, 1), got 7.0",
-            id="threshold-above-one-config",
+            CLASSIFY + ["--review-first", "410", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "threshold = 7\n", "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "run.cfg line 1: threshold must lie in (0, 1), got 7.0", id="threshold-above-one-config",
         ),
         pytest.param(
-            ["resample", "--input", "{csv}", "--stride", "5", "--config", "{tmp}/run.cfg"],
-            {"run.cfg": "# run\nthreshold = nan\n"}, {},
-            "run.cfg line 2: threshold: expected a finite number, got nan", id="threshold-nan-config",
+            CLASSIFY + ["--review-first", "410", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "# run\nthreshold = nan\n", "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"},
+            {}, "run.cfg line 2: threshold: expected a finite number, got nan", id="threshold-nan-config",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410", "--sign", "bogus"],
+            {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "--sign: sign must be positive or negative, got 'bogus'", id="sign-flag",
+        ),
+        pytest.param(
+            CLASSIFY + ["--review-first", "410", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "sign = up\n", "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "run.cfg line 1: sign must be positive or negative, got 'up'", id="sign-config",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "# run\nmax_window = 200\n"}, {}, "run.cfg line 2: max_window is not a setting of ingest",
+            id="config-key-of-another-subcommand",
+        ),
+        pytest.param(
+            ["resample", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "stride = 5\n# again\nstride = 10\n"}, {},
+            "run.cfg line 3: stride is set again, first on line 1", id="config-key-set-twice",
         ),
         pytest.param(
             CLASSIFY + ["--review-first", "410", "--threshold", "0"],
@@ -526,6 +573,11 @@ def test_default_threshold_follows_the_stride():
             ["ingest", "--input", "{tmp}/one_cell.csv"],
             {"one_cell.csv": "date,close\n2020-01-02,100\n2020-01-03\n"}, {},
             "line 3: expected 'date,close', got '2020-01-03'", id="ingest-one-cell-row",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{tmp}/separator.csv"],
+            {"separator.csv": "date,close\n2020-01-02,3,386.15\n"}, {},
+            "line 2: expected 'date,close', got '2020-01-02,3,386.15'", id="ingest-thousands-separator",
         ),
         pytest.param(
             ["ingest", "--input", "{csv}", "--config", "{tmp}/run.cfg"],
@@ -649,9 +701,41 @@ def test_outputs_are_strict_json(bubble_csv, tmp_path, capsys):
     assert main(["fit", "--t1", "0", "--t2", "9", "--config", str(tmp_path / "embedded.cfg")]) == 0
     assert _strict_json(capsys.readouterr().out) == fit_record
 
-    assert main(["ingest", "--input", str(path), "--config", str(tmp_path / "embedded.cfg")]) == 0
+    scan_cfg = f"max_rel_error = {fit_record['config']['max_rel_error']}\n"
+    (tmp_path / "scan.cfg").write_text(scan_cfg, encoding="utf-8")
+    assert main(["scan", "--input", str(path), "--seed", "1", "--workers", "1", *SMALL_SCAN,
+                 "--config", str(tmp_path / "scan.cfg")]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert _strict_json(header.removeprefix("# config: "))["max_rel_error"] == "inf"
+
+
+def test_every_output_reproduces_itself_from_its_embedded_config(bubble_csv, tmp_path, capsys):
+    """A config file made of an output's embedded config, and nothing else,
+    rewrites that output byte for byte: every setting the output depends
+    on is recorded, required ones included."""
+    path, _ = bubble_csv
+    (tmp_path / "scan.csv").write_text(SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n", encoding="utf-8")
+    runs = [
+        ["ingest", "--input", str(path)],
+        ["resample", "--input", str(path), "--stride", "5"],
+        SYNTH + ["--C1", "0.01", "--noise-sigma", "0.01", "--noise-phi", "0.3", "--start-date", "2001-02-05",
+                 "--seed", "5"],
+        [arg.format(csv=path) for arg in FIT] + [*FAST, "--seed", "3", "--max-rel-error", "inf"],
+        ["scan", "--input", str(path), "--seed", "1", "--workers", "1", *SMALL_SCAN],
+        [arg.format(csv=path, tmp=tmp_path) for arg in CLASSIFY]
+        + ["--review-first", "410", "--sign", "negative", "--threshold", "0.1"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if out.startswith("# config: "):
+            config = _strict_json(out.splitlines()[0].removeprefix("# config: "))
+        else:
+            config = _strict_json(out)["config"]
+        lines = [f"{key} = {value}" for key, value in config.items() if value is not None]
+        (tmp_path / "embedded.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([argv[0], "--config", str(tmp_path / "embedded.cfg")]) == 0, argv[0]
+        assert capsys.readouterr().out == out, argv[0]
 
 
 def test_cold_import_loads_no_scipy():

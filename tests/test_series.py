@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,21 @@ def test_ingest_rejects_empty_and_header_only():
         ingest("")
     with pytest.raises(ValidationError, match="no data rows"):
         ingest("date,close\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a thousands separator splits the close in two: 3 and 386.15, not 3386.15
+        ("date,close\n2020-03-02,3,386.15\n", "line 2: expected 'date,close', got '2020-03-02,3,386.15'"),
+        ("date,close,index\n2020-03-02,100.0,0\n2020-03-03,101.5\n",
+         "line 3: expected 'date,close,index', got '2020-03-03,101.5'"),
+        ("date,close,index\n2020-03-02,100.0,0,7\n", "line 2: expected 'date,close,index'"),
+    ],
+)
+def test_ingest_rejects_a_row_whose_width_differs_from_the_header(text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ingest(text)
 
 
 def test_ingest_rejects_wrong_header():

@@ -56,13 +56,16 @@ run fit_config fit --input bubble.csv --t1 320 --t2 419 --config fit.cfg --outpu
 run fit_long fit --input bubble.csv --t1 120 --t2 419 --seed 3 --output fit_long.json
 run fit_outside fit --input bubble.csv --t1 0 --t2 9999 --seed 1
 # a window under 12 points gets no AR(1) test (its coefficient is NaN), an
-# infinite filter bound lands in the embedded config, and a threshold
-# outside (0, 1) is refused wherever it is set
+# infinite filter bound lands in the embedded config, and a config file may
+# set only the subcommand's own settings (resample has no threshold), each once
 run fit_short_window fit --input bubble.csv --t1 0 --t2 9 --seed 1
 # shellcheck disable=SC2086
 run fit_inf_filter fit --input bubble.csv --t1 320 --t2 419 --max-rel-error inf $FAST
 printf 'threshold = 7\n' >bad_threshold.cfg
 run resample_bad_threshold resample --input bubble.csv --stride 5 --config bad_threshold.cfg
+run ingest_fit_config ingest --input weekly.csv --config fit.cfg
+printf 'stride = 5\n# again\nstride = 10\n' >stride_twice.cfg
+run resample_stride_twice resample --input bubble.csv --config stride_twice.cfg
 
 # the 420-point bubble followed by a 60-step decline
 "$PYTHON" - <<'EOF'
@@ -99,6 +102,20 @@ printf 'date,close\n2020-01-02,100\n2020-01-03,10\351\n' >latin1.csv
 run ingest_latin1 ingest --input latin1.csv
 printf '# config: {}\ndate,close\n2020-01-02,100\n\n2020-01-03,-5\n' >commented.csv
 run ingest_commented ingest --input commented.csv
+# a thousands separator splits a close across two cells
+printf 'date,close\n2020-01-02,3,386.15\n2020-01-03,3,390.00\n' >separator.csv
+run ingest_separator ingest --input separator.csv
+
+# synth again from its own embedded config alone: it rewrites bubble.csv, and
+# synth_rewrite.cmp stays empty when the two files are byte-identical
+sed -n '1s/^# config: //p' bubble.csv | "$PYTHON" -c '
+import json, sys
+for key, value in json.load(sys.stdin).items():
+    if value is not None:
+        print(f"{key} = {value}")' >synth.cfg
+mv bubble.csv bubble_first.csv
+run synth_from_config synth --config synth.cfg
+cmp bubble_first.csv bubble.csv >synth_rewrite.cmp 2>&1 || true
 
 run help --help
 for command in ingest resample synth fit scan classify; do
