@@ -115,12 +115,18 @@ def _window_arrays(series: PriceSeries, window: Window) -> tuple[np.ndarray, np.
 _COND_CAP = 1e12
 
 
-def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Work arrays of _profile for up to `rows` rows of one window of n points.
+def _scratch(size: int) -> np.ndarray:
+    """Work array of _profile for calls of up to `size` points, summed over their rows.
 
-    They are the (rows, 4, n) design matrices and four (rows, n) temporaries.
+    A call lays every row of every window one after another along the
+    (7, size) array, each row's n points contiguous: rows 0-3 hold the
+    design [1, f, g, h], rows 4-6 ln(tc - t), the half-angle tangent u and
+    the scale f / (1 + u^2), and row 4 then the fitted values. Row 0 is
+    filled with ones here, once; _profile never writes it.
     """
-    return np.empty((rows, 4, n)), np.empty((4, rows, n))
+    work = np.empty((7, size))
+    work[0] = 1.0
+    return work
 
 
 def _ldl(gram):
@@ -164,12 +170,12 @@ def _ldl_solve(lower, d, rhs):
     return np.stack(x, axis=1)
 
 
-def _profile(arrays, points, parts, scratches=None,
+def _profile(arrays, points, parts, work=None,
              refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
 
-    `points` is a (K, 3) array and `parts` lists (p, lo, hi): rows
-    points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
+    `points` is a (K, 3) array and `parts` lists (p, lo, hi) in row order:
+    rows points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
     row the design matrix is [1, f, g, h] with f=(tc-t)^m,
     g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)), and the result is
     (beta, sse, ok): the (K, 4) least-squares (A, B, C1, C2)
@@ -179,7 +185,11 @@ def _profile(arrays, points, parts, scratches=None,
     are positive with a ratio max/min of at most _COND_CAP. Rejected rows
     have sse = +inf and an undefined beta; they never change the other rows.
 
-    Each window's rows get their own elementwise pass and gemm; one batched
+    All rows of all windows share one flat work array (see _scratch): only
+    tc - t, m ln(tc-t) and w ln(tc-t)/2 read a row's own parameters and
+    take one broadcast per window, and every other elementwise pass is one
+    call over the whole array. Each window's normal matrices, right-hand
+    sides and residuals are gemms on a (k, 4, n) view of it; one batched
     LDL^T then factors, checks and solves the normal systems of all K rows.
     With `refine`, beta takes one refinement step against the residual,
     under the same factor. The sse is taken before it either way: it is the
@@ -187,64 +197,71 @@ def _profile(arrays, points, parts, scratches=None,
     and the search's objective, which needs no more than the sse and the
     damping ratio, skips the step.
 
-    The large intermediates are written into scratches[p], a _scratch of at
-    least as many rows as window p has here, or into fresh arrays when
-    `scratches` is None. Every row read is written first, so the result
-    does not depend on what the scratch held.
+    `work` is a _scratch of at least the call's size, or None for a fresh
+    one. Every element read is written first, so the result does not depend
+    on what it held.
     """
     points = np.asarray(points, dtype=float)
+    tc, m, omega = points.T
+    counts = [hi - lo for _, lo, hi in parts]
+    size = sum(k * arrays[p][0].size for (p, _, _), k in zip(parts, counts))
+    work = _scratch(size) if work is None else work[:, :size]
+    # each window's (k, 7, n) view of its columns: work rows as its second axis
+    views, start = [], 0
+    for (p, _, _), k in zip(parts, counts):
+        n = arrays[p][0].size
+        views.append(work[:, start : start + k * n].reshape(7, k, n).transpose(1, 0, 2))
+        start += k * n
+    _, f, g, h, ldt, u, scale = work
     gram = np.empty((len(points), 4, 4))
     rhs = np.empty((len(points), 4))
-    ok = np.empty(len(points), dtype=bool)
     sse = np.empty(len(points))
-    designs = []
+
     # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
     # powers, a zero pivot); the mask rejects them, so their warnings are noise.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for p, lo, hi in parts:
-            t, y = arrays[p]
-            tc, m, omega = points[lo:hi].T
-            k = hi - lo
-            scratch = _scratch(k, t.size) if scratches is None else scratches[p]
-            x = scratch[0][:k]
-            ldt, u, scale, fit = scratch[1][:, :k]
-            np.subtract(tc[:, None], t, out=ldt)
-            np.greater(ldt[:, -1], 0.0, out=ok[lo:hi])
-            np.log(ldt, out=ldt)
-            x[:, 0] = 1.0
-            np.multiply(m[:, None], ldt, out=x[:, 1])
-            np.exp(x[:, 1], out=x[:, 1])
-            # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
-            # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
-            # the rounding stays at machine epsilon, and one tan costs less than
-            # a cos plus a sin.
-            np.multiply(0.5 * omega[:, None], ldt, out=u)
-            np.tan(u, out=u)
-            u2 = np.multiply(u, u, out=ldt)
-            np.add(u2, 1.0, out=scale)
-            np.divide(x[:, 1], scale, out=scale)
-            np.multiply(np.subtract(1.0, u2, out=u2), scale, out=x[:, 2])
-            np.multiply(np.multiply(u, 2.0, out=u), scale, out=x[:, 3])
-            # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
-            # hands numpy one buffer twice, and it then calls syrk per 4x4
-            # matrix, several times slower than gemm for long windows. The
-            # matrix comes out exactly symmetric; its corner is a sum of n ones.
-            np.matmul(x[:, 1:], x.transpose(0, 2, 1), out=gram[lo:hi, 1:])
-            gram[lo:hi, 0, 1:] = gram[lo:hi, 1:, 0]
-            gram[lo:hi, 0, 0] = t.size
-            np.matmul(x, y, out=rhs[lo:hi])
-            designs.append((y, x, fit, lo, hi))
+        # tc > t[-1] is tc - t[-1] > 0: a difference of unequal doubles is never 0
+        ok = tc > np.repeat([arrays[p][0][-1] for p, _, _ in parts], counts)
+        for (p, lo, hi), v in zip(parts, views):
+            np.subtract(tc[lo:hi, None], arrays[p][0], out=v[:, 4])
+        np.log(ldt, out=ldt)
+        half_omega = 0.5 * omega
+        for (_, lo, hi), v in zip(parts, views):
+            np.multiply(m[lo:hi, None], v[:, 4], out=v[:, 1])
+            np.multiply(half_omega[lo:hi, None], v[:, 4], out=v[:, 5])
+        np.exp(f, out=f)
+        # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
+        # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
+        # the rounding stays at machine epsilon, and one tan costs less than
+        # a cos plus a sin.
+        np.tan(u, out=u)
+        u2 = np.multiply(u, u, out=ldt)
+        np.add(u2, 1.0, out=scale)
+        np.divide(f, scale, out=scale)
+        np.multiply(np.subtract(1.0, u2, out=u2), scale, out=g)
+        np.multiply(np.multiply(u, 2.0, out=u), scale, out=h)
+        # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
+        # hands numpy one buffer twice, and it then calls syrk per 4x4
+        # matrix, several times slower than gemm for long windows. The
+        # matrix comes out exactly symmetric; its corner is a sum of n ones.
+        for (p, lo, hi), v in zip(parts, views):
+            xk = v[:, :4]
+            np.matmul(xk[:, 1:], xk.transpose(0, 2, 1), out=gram[lo:hi, 1:])
+            np.matmul(xk, arrays[p][1], out=rhs[lo:hi])
+        gram[:, 0, 1:] = gram[:, 1:, 0]
+        gram[:, 0, 0] = np.repeat([arrays[p][0].size for p, _, _ in parts], counts)
         ok &= np.isfinite(gram).all(axis=(1, 2))
         lower, d = _ldl(gram)
         smallest = d.min(axis=0)
         ok &= (smallest > 0.0) & (smallest > d.max(axis=0) / _COND_CAP)
         beta = _ldl_solve(lower, d, rhs)
-        for y, x, fit, lo, hi in designs:
-            np.matmul(beta[lo:hi, None, :], x, out=fit[:, None, :])
-            resid = np.subtract(y, fit, out=fit)
+        for (p, lo, hi), v in zip(parts, views):
+            xk, fit = v[:, :4], v[:, 4]  # row 4 is free once the design is built
+            np.matmul(beta[lo:hi, None, :], xk, out=fit[:, None, :])
+            resid = np.subtract(arrays[p][1], fit, out=fit)
             sse[lo:hi] = np.einsum("kn,kn->k", resid, resid)
             if refine:
-                np.matmul(x, resid[..., None], out=rhs[lo:hi, :, None])
+                np.matmul(xk, resid[..., None], out=rhs[lo:hi, :, None])
         if refine:
             # One refinement step, beta += G^-1 X^T r (the corrected
             # seminormal equations): the normal-equation solve alone errs by
@@ -296,13 +313,15 @@ def _objective(arrays, cfg: SearchConfig):
     is rejected.
     """
     floor = cfg.damping_floor
-    scratches = [_scratch(0, t.size) for t, _ in arrays]  # kept at the largest batch seen
+    lengths = [t.size for t, _ in arrays]
+    work = _scratch(0)  # kept at the largest call seen
 
     def func(points, parts):
-        for p, lo, hi in parts:
-            if len(scratches[p][0]) < hi - lo:
-                scratches[p] = _scratch(hi - lo, arrays[p][0].size)
-        beta, sse, _ = _profile(arrays, points, parts, scratches, refine=False)
+        nonlocal work
+        size = sum((hi - lo) * lengths[p] for p, lo, hi in parts)
+        if work.shape[1] < size:
+            work = _scratch(size)
+        beta, sse, _ = _profile(arrays, points, parts, work, refine=False)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

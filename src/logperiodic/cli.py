@@ -119,8 +119,9 @@ _CHOICES = {"format": ("csv", "json"), "sign": ("positive", "negative")}
 
 
 def _check_setting(key: str, value, source: str):
-    """Stride and workers must be >= 1, format and sign one of their choices
-    and threshold a finite number in (0, 1), wherever they are set."""
+    """Stride and workers must be >= 1, format and sign one of their choices,
+    threshold a finite number in (0, 1), start_date a YYYY-MM-DD date and
+    each review bound an index or such a date, wherever they are set."""
     if key in ("stride", "workers") and value < 1:
         raise ValidationError(f"{source}: {key} must be >= 1, got {value}")
     if key in _CHOICES and value not in _CHOICES[key]:
@@ -129,6 +130,10 @@ def _check_setting(key: str, value, source: str):
         raise ValidationError(f"{source}: threshold: expected a finite number, got {value}")
     if key == "threshold" and not 0 < value < 1:
         raise ValidationError(f"{source}: threshold must lie in (0, 1), got {value}")
+    if key == "start_date":
+        _iso_date(value, f"{source}: start_date")
+    if key in ("review_first", "review_last") and not _is_index(value):
+        _iso_date(value, f"{source}: {key}", "an index or ")
     return value
 
 
@@ -369,19 +374,25 @@ def read_scan_csv(text: str) -> list[indicator.IndicatorPoint]:
     return list(points.values())
 
 
-def _iso_date(raw: str, what: str) -> _dt.date:
+def _iso_date(raw: str, what: str, alternative: str = "") -> _dt.date:
     try:
         return _dt.date.fromisoformat(raw)
     except ValueError:
-        raise ValidationError(f"{what} {raw!r} is not a YYYY-MM-DD date") from None
+        raise ValidationError(f"{what} {raw!r} is not {alternative}a YYYY-MM-DD date") from None
+
+
+def _is_index(raw: str) -> bool:
+    try:
+        int(raw)
+    except ValueError:
+        return False
+    return True
 
 
 def _resolve_review_bound(loaded, raw: str, is_start: bool) -> int:
     """A review bound is an index or an ISO date (bracketed to trading days)."""
-    try:
+    if _is_index(raw):
         return int(raw)
-    except ValueError:
-        pass
     target = _iso_date(raw, "review bound")
     # the dates are validated as strictly increasing
     if is_start:

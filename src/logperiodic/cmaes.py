@@ -68,6 +68,11 @@ _TOL_X = 1e-12
 _CATCH_UP = 0.1
 _CATCH_UP_STEP = 1e-2
 
+# Generations whose normals a run draws at once. A run's stream yields the
+# same values in any block size; only how far past the run's end it is read
+# depends on it.
+_DRAW_BLOCK = 16
+
 # Same-basin rule: a trailing run whose best point lies this close (box units,
 # in every coordinate) to its leader's best point stops.
 _SAME_BASIN = 1e-3
@@ -94,7 +99,10 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     problem p starts at its box center and draws its samples from rngs[p];
     run r > 0 starts at a uniform random point and draws everything from
     the r-th child of rngs[p].spawn(restarts - 1), so a run's samples
-    depend neither on `restarts` nor on the other problems.
+    depend neither on `restarts` nor on the other problems. A run draws its
+    normals _DRAW_BLOCK generations at a time, so the generators are left
+    advanced past the last generation a run uses: a caller that wants to
+    reproduce a search passes fresh generators, never ones a search has read.
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
     diverging step size, when it cannot catch up with a strictly better
@@ -165,13 +173,16 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     evals = 1  # per running run: they all started together
     gen = 0
 
-    z_all = np.empty((runs, lam, n))  # the draws of the running runs, in ids order
+    # each run's normals for the _DRAW_BLOCK generations from a multiple of
+    # _DRAW_BLOCK on, in its stream's order: one call per run per block
+    draws = np.empty((runs, _DRAW_BLOCK, lam, n))
 
     while ids.size and evals + lam <= max_evals:
+        if gen % _DRAW_BLOCK == 0:
+            for i in ids.tolist():
+                rngs[i].standard_normal(out=draws[i])
         sqrt_d = np.sqrt(eigvals)
-        z = z_all[:ids.size]
-        for j, i in enumerate(ids.tolist()):
-            rngs[i].standard_normal(out=z[j])
+        z = draws[ids, gen % _DRAW_BLOCK]
         y = z @ (eigvecs * sqrt_d[:, None, :]).transpose(0, 2, 1)  # y_k ~ N(0, C)
         x = mean[:, None, :] + sigma[:, None, None] * y
         x_clip = np.clip(x, 0.0, 1.0)

@@ -524,6 +524,22 @@ def test_default_threshold_follows_the_stride():
             id="noise-sigma-nan",
         ),
         pytest.param(
+            SYNTH + ["--config", "{tmp}/run.cfg"], {"run.cfg": "# synth\nstart_date = 2001-13-01\n"}, {},
+            "run.cfg line 2: start_date '2001-13-01' is not a YYYY-MM-DD date", id="start-date-config",
+        ),
+        pytest.param(
+            ["classify", "--input", "{csv}", "--scan-table", "{tmp}/scan.csv", "--config", "{tmp}/run.cfg"],
+            {"run.cfg": "review_last = 470\nreview_first = 2001-02-30\n",
+             "scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "run.cfg line 2: review_first '2001-02-30' is not an index or a YYYY-MM-DD date",
+            id="review-first-config",
+        ),
+        pytest.param(
+            ["classify", "--input", "{csv}", "--scan-table", "{tmp}/scan.csv", "--review-first", "410",
+             "--review-last", "4l0"], {"scan.csv": SCAN_HEADER + "2001-08-13,420,0.8,0.0,4,0,5\n"}, {},
+            "--review-last: review_last '4l0' is not an index or a YYYY-MM-DD date", id="review-last-flag",
+        ),
+        pytest.param(
             FIT + ["--config", "{tmp}/run.cfg"], {"run.cfg": "filter_omega_min = 30\n"}, {},
             "filter ranges must not be empty", id="filter-omega-empty-config",
         ),

@@ -135,6 +135,67 @@ def test_objective_scratch_never_leaks_between_calls(big, small):
         assert np.array_equal(got[kept], sse[kept])
 
 
+# 3-5 windows of unequal lengths over NOISY, as (t1, length, (kind, *ROW) rows),
+# each with 0-9 rows of the ROW_KINDS mix
+LAYOUT = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=20, max_value=100),
+        st.lists(st.tuples(st.sampled_from(ROW_KINDS), ROW).map(lambda r: (r[0], *r[1])), max_size=9),
+    ),
+    min_size=3,
+    max_size=5,
+    unique_by=lambda window: min(window[0] + window[1], 399) - window[0],
+)
+
+
+def _layout(windows):
+    """(arrays, points, parts) of a LAYOUT draw; a window without rows gets no part, as in the search."""
+    arrays, batches, parts = [], [], []
+    for p, (t1, length, rows) in enumerate(windows):
+        w = Window(t1, min(t1 + length, 399))
+        arrays.append(_window_arrays(NOISY, w))
+        if rows:
+            lo = parts[-1][2] if parts else 0
+            batches.append(_batch(w, rows))
+            parts.append((p, lo, lo + len(rows)))
+    return arrays, np.concatenate([np.empty((0, 3)), *batches]), parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows=LAYOUT)
+def test_kernel_rows_of_a_flat_layout_equal_their_window_alone(windows):
+    # every window's rows share one work array, placed after the rows of the
+    # windows before them; no row's bits may depend on where they land
+    arrays, points, parts = _layout(windows)
+    for refine in (True, False):
+        beta, sse, ok = _profile(arrays, points, parts, refine=refine)
+        for p, lo, hi in parts:
+            alone = _kernel(*arrays[p], points[lo:hi], refine=refine)
+            assert np.array_equal(beta[lo:hi], alone[0], equal_nan=True)
+            assert np.array_equal(sse[lo:hi], alone[1])
+            assert np.array_equal(ok[lo:hi], alone[2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(windows=LAYOUT)
+def test_objective_work_array_never_leaks_between_layouts(windows):
+    # One closure serves a whole chunk: calls over the first window's rows,
+    # then all windows', then the last window's, then all again grow, shrink
+    # and regrow its work array; each must equal a fresh closure's call.
+    arrays, points, parts = _layout(windows)
+    floors = (0.0, SearchConfig.damping_floor)
+    objectives = [_objective(arrays, SearchConfig(damping_floor=floor)) for floor in floors]
+    for chosen in (parts[:1], parts, parts[-1:], parts):
+        rows = np.concatenate([np.empty((0, 3)), *(points[lo:hi] for _, lo, hi in chosen)])
+        starts = np.cumsum([0, *(hi - lo for _, lo, hi in chosen)]).tolist()
+        layout = [(p, lo, hi) for (p, _, _), lo, hi in zip(chosen, starts, starts[1:])]
+        for floor, func in zip(floors, objectives):
+            fresh = _objective(arrays, SearchConfig(damping_floor=floor))(rows, layout)
+            assert np.array_equal(func(rows, layout), fresh)
+        assert np.array_equal(objectives[0](rows, layout), _profile(arrays, rows, layout)[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t1s=st.tuples(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300)),

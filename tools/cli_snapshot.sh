@@ -91,6 +91,13 @@ first=$("$PYTHON" -c "from logperiodic import ingest; print(ingest(open('crash.c
 last=$("$PYTHON" -c "from logperiodic import ingest; print(ingest(open('crash.csv').read()).dates[470])")
 run classify_dates classify --input crash.csv --scan-table crash_scan.csv \
     --review-first "$first" --review-last "$last"
+# a bad date setting in a config file names the file's line
+printf '# synth\nstart_date = 2001-13-01\n' >bad_start_date.cfg
+run synth_bad_start_date_config synth --tc 430 --m 0.5 --omega 8 --A 8 --B -0.8 --n 100 \
+    --config bad_start_date.cfg
+printf 'review_first = 410\nreview_last = 2001-02-30\n' >bad_review.cfg
+run classify_bad_review_config classify --input crash.csv --scan-table crash_scan.csv \
+    --config bad_review.cfg
 
 # reader edge cases: a scan table saved with a UTF-8 byte-order mark, a CSV
 # that is not UTF-8 (0xE9 is Latin-1 e-acute), and a bad close on file line 5
