@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cmaes import minimize_problems
-from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError
+from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError, integer
 from .model import LpplsParams
 from .series import PriceSeries
 
@@ -75,6 +75,8 @@ class SearchConfig:
         for name in ("m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("population", "max_evaluations", "restarts", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.population < 4:
@@ -129,48 +131,165 @@ def _scratch(size: int) -> np.ndarray:
     return work
 
 
-def _ldl(gram):
-    """LDL^T factor of each row's symmetric 4x4 matrix of the (K, 4, 4) gram.
+def _ldl(a) -> np.ndarray:
+    """LDL^T factor, in place, of each symmetric 4x4 matrix a[:, :, k] of the (4, 4, K) array a.
 
-    Returns (lower, d): lower[i][j] for i > j are the (K,) multipliers of
-    the unit lower triangle, d the (4, K) pivots. Cholesky without
-    pivoting in +, -, x and / only (Higham, "Accuracy and Stability of
-    Numerical Algorithms", ch. 10), so a row's bits do not depend on the
-    other rows of its batch.
+    Returns the (K,) mask of the admissible matrices: finite, with pivots
+    that are positive and have a ratio max/min of at most _COND_CAP. The
+    factor reads a's lower triangle and leaves the pivots d on its diagonal
+    and each multiplier L[i, j] (i > j) of the unit lower triangle at
+    a[j, i]. The first row's off-diagonal entries are never read, nor
+    checked: a matrix with a non-finite a[0, 0] has a non-finite first
+    pivot, which fails the pivot test.
+
+    Right-looking Cholesky without pivoting in +, -, x and / only (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 10): each column
+    takes one divide for its multipliers and one outer-product update of
+    the trailing block, whole columns of all K matrices at a time. Every
+    entry sees the same operations in the same order as in a row-by-row
+    factor, a_ij - L_i0 w_j0 - L_i1 w_j1 - ... with w_jk = L_jk d_k before
+    its divide, so a matrix's bits depend neither on the others of its
+    batch nor on whether the factor runs by rows or by columns.
     """
-    lower = [[None] * 4 for _ in range(4)]
-    w = [[None] * 4 for _ in range(4)]  # w[i][j] = lower[i][j] * d[j]
-    d = np.empty((4, len(gram)))
-    for j in range(4):
-        for i in range(j, 4):
-            s = gram[:, i, j]
-            for k in range(j):
-                s = s - lower[i][k] * w[j][k]
-            w[i][j] = s
-        d[j] = w[j][j]
-        for i in range(j + 1, 4):
-            lower[i][j] = w[i][j] / d[j]
-    return lower, d
+    ok = np.isfinite(a[1:]).all(axis=(0, 1))
+    for k in range(2):
+        np.divide(a[k + 1 :, k], a[k, k], a[k, k + 1 :])
+        trailing = a[k + 1 :, k + 1 :]
+        np.subtract(trailing, a[k, k + 1 :, None] * a[k + 1 :, k], trailing)
+    np.divide(a[3, 2], a[2, 2], a[2, 3])
+    np.subtract(a[3, 3], a[2, 3] * a[3, 2], a[3, 3])
+    d = a.diagonal().T
+    # smallest > largest / cap also says smallest > 0: a largest pivot below 0
+    # fails it, and nan pivots fail every comparison
+    return ok & (d.min(axis=0) > d.max(axis=0) / _COND_CAP)
 
 
-def _ldl_solve(lower, d, rhs):
-    """Solutions of the (K, 4) right-hand sides rhs under an _ldl factor."""
-    z = []
-    for i in range(4):
-        s = rhs[:, i]
-        for k in range(i):
-            s = s - lower[i][k] * z[k]
-        z.append(s)
-    x = [None] * 4
-    for i in reversed(range(4)):
-        s = z[i] / d[i]
-        for k in range(i + 1, 4):
-            s = s - lower[k][i] * x[k]
-        x[i] = s
-    return np.stack(x, axis=1)
+def _ldl_solve(a, rhs) -> np.ndarray:
+    """Solutions, a (K, 4) array, of the (K, 4) right-hand sides rhs under an _ldl factor a.
+
+    Forward substitution subtracts each solved entry from the entries below
+    it. Back substitution must take an entry's terms in ascending order,
+    x_i = z_i / d_i - L_(i+1)i x_(i+1) - ... - L_3i x_3, as a row-by-row
+    solve does, so it forms each solved entry's products with the
+    multipliers above it at once and subtracts them entry by entry.
+    """
+    z = rhs.T.copy()
+    for k in range(3):
+        np.subtract(z[k + 1 :], a[k, k + 1 :] * z[k], z[k + 1 :])
+    x = np.empty_like(rhs)
+    x0, x1, x2, x3 = np.divide(z, a.diagonal().T, x.T)
+    p3 = a[:3, 3] * x3  # p3[i] = L_3i x_3
+    np.subtract(x2, p3[2], x2)
+    p2 = a[:2, 2] * x2
+    np.subtract(x1, p2[1], x1)
+    np.subtract(x1, p3[1], x1)
+    p1 = a[0, 1] * x1
+    np.subtract(x0, p1, x0)
+    np.subtract(x0, p2[0], x0)
+    np.subtract(x0, p3[0], x0)
+    return x
 
 
-def _profile(arrays, points, parts, work=None,
+class _Layout:
+    """Where _profile puts the rows of one `parts` list, kept while that list holds.
+
+    `parts` lists (p, lo, hi) in row order: rows lo:hi of a call are
+    window p's, whose (t, y) is arrays[p]. Every row of every window gets
+    its n points of one flat work array (see _scratch) after the rows
+    before it. The layout holds each window's (k, 7, n) view of that array,
+    work rows as second axis, and the views of it, of the normal matrices
+    and of the right-hand sides that each pass of a call writes or reads,
+    together with each row's window end t[-1] and the corner of each row's
+    normal matrix, its point count n. `work` reuses a previous layout's
+    array when it is large enough, so one kept array serves every call of a
+    search; every element a call reads is written first.
+    """
+
+    def __init__(self, arrays, parts, work=None):
+        self.parts = list(parts)
+        counts = [hi - lo for _, lo, hi in self.parts]
+        lengths = [arrays[p][0].size for p, _, _ in self.parts]
+        size = sum(k * n for k, n in zip(counts, lengths))
+        if work is None or work.shape[1] < size:
+            work = _scratch(size)
+        self.scratch = work
+        self.work_rows = tuple(work[:, :size])  # 1, f, g, h, ln(tc - t), u, scale
+        rows = sum(counts)
+        self.ends = np.repeat([arrays[p][0][-1] for p, _, _ in self.parts], counts)
+        self.gram = np.empty((rows, 3, 4))  # rows 1-3 of each normal matrix
+        self.rhs = np.empty((rows, 4))
+        self.a = np.empty((4, 4, rows))  # the factor's copy; _ldl never writes a[0, 0]
+        self.a[0, 0] = np.repeat(lengths, counts)
+        self.sse = np.empty(rows)
+        # per window, the operands of each pass over its rows
+        self.differences, self.powers, self.normals, self.residuals = [], [], [], []
+        start = 0
+        for (p, lo, hi), k, n in zip(self.parts, counts, lengths):
+            t, y = arrays[p]
+            v = work[:, start : start + k * n].reshape(7, k, n).transpose(1, 0, 2)
+            xk, ldt = v[:, :4], v[:, 4]
+            self.differences.append((lo, hi, t, ldt))
+            self.powers.append((lo, hi, ldt, v[:, 1], v[:, 5]))
+            self.normals.append((xk[:, 1:], xk.transpose(0, 2, 1), self.gram[lo:hi],
+                                 xk, y, self.rhs[lo:hi]))
+            # row 4 is free for the fitted values once the design is built
+            self.residuals.append((lo, hi, xk, ldt[:, None, :], y, ldt, self.sse[lo:hi],
+                                   ldt[..., None], self.rhs[lo:hi, :, None]))
+            start += k * n
+
+    def profile(self, points, refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_profile of the (K, 3) points laid out by this layout's parts."""
+        tc, m, omega = points.T
+        _, f, g, h, ldt, u, scale = self.work_rows
+        a = self.a
+        # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
+        # powers, a zero pivot); the mask rejects them, so their warnings are noise.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # tc > t[-1] is tc - t[-1] > 0: a difference of unequal doubles is never 0
+            ok = tc > self.ends
+            for lo, hi, t, out in self.differences:
+                np.subtract(tc[lo:hi, None], t, out=out)
+            np.log(ldt, out=ldt)
+            half_omega = 0.5 * omega
+            for lo, hi, logs, powers, angles in self.powers:
+                np.multiply(m[lo:hi, None], logs, out=powers)
+                np.multiply(half_omega[lo:hi, None], logs, out=angles)
+            np.exp(f, out=f)
+            # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
+            # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
+            # the rounding stays at machine epsilon, and one tan costs less than
+            # a cos plus a sin.
+            np.tan(u, out=u)
+            u2 = np.multiply(u, u, out=ldt)
+            np.add(u2, 1.0, out=scale)
+            np.divide(f, scale, out=scale)
+            np.multiply(np.subtract(1.0, u2, out=u2), scale, out=g)
+            np.multiply(np.multiply(u, 2.0, out=u), scale, out=h)
+            # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
+            # hands numpy one buffer twice, and it then calls syrk per 4x4
+            # matrix, several times slower than gemm for long windows. The
+            # matrix comes out exactly symmetric; its corner is a sum of n ones.
+            for x_fgh, x_t, gram, xk, y, rhs in self.normals:
+                np.matmul(x_fgh, x_t, out=gram)
+                np.matmul(xk, y, out=rhs)
+            a[1:] = self.gram.transpose(1, 2, 0)
+            ok &= _ldl(a)
+            beta = _ldl_solve(a, self.rhs)
+            for lo, hi, xk, fit_out, y, fit, sse, resid_col, rhs_col in self.residuals:
+                np.matmul(beta[lo:hi, None, :], xk, out=fit_out)
+                resid = np.subtract(y, fit, out=fit)
+                np.einsum("kn,kn->k", resid, resid, out=sse)
+                if refine:
+                    np.matmul(xk, resid_col, out=rhs_col)
+            if refine:
+                # One refinement step, beta += G^-1 X^T r (the corrected
+                # seminormal equations): the normal-equation solve alone errs by
+                # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
+                beta += _ldl_solve(a, self.rhs)
+        return beta, np.where(ok, self.sse, np.inf), ok
+
+
+def _profile(arrays, points, parts,
              refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
 
@@ -185,89 +304,19 @@ def _profile(arrays, points, parts, work=None,
     are positive with a ratio max/min of at most _COND_CAP. Rejected rows
     have sse = +inf and an undefined beta; they never change the other rows.
 
-    All rows of all windows share one flat work array (see _scratch): only
+    All rows of all windows share one flat work array (see _Layout): only
     tc - t, m ln(tc-t) and w ln(tc-t)/2 read a row's own parameters and
     take one broadcast per window, and every other elementwise pass is one
     call over the whole array. Each window's normal matrices, right-hand
     sides and residuals are gemms on a (k, 4, n) view of it; one batched
-    LDL^T then factors, checks and solves the normal systems of all K rows.
-    With `refine`, beta takes one refinement step against the residual,
-    under the same factor. The sse is taken before it either way: it is the
-    minimum of a quadratic, so beta's error moves it only at second order,
-    and the search's objective, which needs no more than the sse and the
-    damping ratio, skips the step.
-
-    `work` is a _scratch of at least the call's size, or None for a fresh
-    one. Every element read is written first, so the result does not depend
-    on what it held.
+    LDL^T (_ldl) then factors, checks and solves the normal systems of all
+    K rows. With `refine`, beta takes one refinement step against the
+    residual, under the same factor. The sse is taken before it either way:
+    it is the minimum of a quadratic, so beta's error moves it only at
+    second order, and the search's objective, which needs no more than the
+    sse and the damping ratio, skips the step.
     """
-    points = np.asarray(points, dtype=float)
-    tc, m, omega = points.T
-    counts = [hi - lo for _, lo, hi in parts]
-    size = sum(k * arrays[p][0].size for (p, _, _), k in zip(parts, counts))
-    work = _scratch(size) if work is None else work[:, :size]
-    # each window's (k, 7, n) view of its columns: work rows as its second axis
-    views, start = [], 0
-    for (p, _, _), k in zip(parts, counts):
-        n = arrays[p][0].size
-        views.append(work[:, start : start + k * n].reshape(7, k, n).transpose(1, 0, 2))
-        start += k * n
-    _, f, g, h, ldt, u, scale = work
-    gram = np.empty((len(points), 4, 4))
-    rhs = np.empty((len(points), 4))
-    sse = np.empty(len(points))
-
-    # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
-    # powers, a zero pivot); the mask rejects them, so their warnings are noise.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # tc > t[-1] is tc - t[-1] > 0: a difference of unequal doubles is never 0
-        ok = tc > np.repeat([arrays[p][0][-1] for p, _, _ in parts], counts)
-        for (p, lo, hi), v in zip(parts, views):
-            np.subtract(tc[lo:hi, None], arrays[p][0], out=v[:, 4])
-        np.log(ldt, out=ldt)
-        half_omega = 0.5 * omega
-        for (_, lo, hi), v in zip(parts, views):
-            np.multiply(m[lo:hi, None], v[:, 4], out=v[:, 1])
-            np.multiply(half_omega[lo:hi, None], v[:, 4], out=v[:, 5])
-        np.exp(f, out=f)
-        # cos and sin of w ln(tc-t) from u, the tangent of the half angle:
-        # cos = (1-u^2)/(1+u^2), sin = 2u/(1+u^2). The identities are exact,
-        # the rounding stays at machine epsilon, and one tan costs less than
-        # a cos plus a sin.
-        np.tan(u, out=u)
-        u2 = np.multiply(u, u, out=ldt)
-        np.add(u2, 1.0, out=scale)
-        np.divide(f, scale, out=scale)
-        np.multiply(np.subtract(1.0, u2, out=u2), scale, out=g)
-        np.multiply(np.multiply(u, 2.0, out=u), scale, out=h)
-        # Rows 1-3 of the normal matrix as one gemm against all rows. `x @ x.T`
-        # hands numpy one buffer twice, and it then calls syrk per 4x4
-        # matrix, several times slower than gemm for long windows. The
-        # matrix comes out exactly symmetric; its corner is a sum of n ones.
-        for (p, lo, hi), v in zip(parts, views):
-            xk = v[:, :4]
-            np.matmul(xk[:, 1:], xk.transpose(0, 2, 1), out=gram[lo:hi, 1:])
-            np.matmul(xk, arrays[p][1], out=rhs[lo:hi])
-        gram[:, 0, 1:] = gram[:, 1:, 0]
-        gram[:, 0, 0] = np.repeat([arrays[p][0].size for p, _, _ in parts], counts)
-        ok &= np.isfinite(gram).all(axis=(1, 2))
-        lower, d = _ldl(gram)
-        smallest = d.min(axis=0)
-        ok &= (smallest > 0.0) & (smallest > d.max(axis=0) / _COND_CAP)
-        beta = _ldl_solve(lower, d, rhs)
-        for (p, lo, hi), v in zip(parts, views):
-            xk, fit = v[:, :4], v[:, 4]  # row 4 is free once the design is built
-            np.matmul(beta[lo:hi, None, :], xk, out=fit[:, None, :])
-            resid = np.subtract(arrays[p][1], fit, out=fit)
-            sse[lo:hi] = np.einsum("kn,kn->k", resid, resid)
-            if refine:
-                np.matmul(xk, resid[..., None], out=rhs[lo:hi, :, None])
-        if refine:
-            # One refinement step, beta += G^-1 X^T r (the corrected
-            # seminormal equations): the normal-equation solve alone errs by
-            # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
-            beta += _ldl_solve(lower, d, rhs)
-    return beta, np.where(ok, sse, np.inf), ok
+    return _Layout(arrays, parts).profile(np.asarray(points, dtype=float), refine)
 
 
 def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
@@ -313,15 +362,13 @@ def _objective(arrays, cfg: SearchConfig):
     is rejected.
     """
     floor = cfg.damping_floor
-    lengths = [t.size for t, _ in arrays]
-    work = _scratch(0)  # kept at the largest call seen
+    layout = None  # the last call's; a new parts list gets a new one on the same work array
 
     def func(points, parts):
-        nonlocal work
-        size = sum((hi - lo) * lengths[p] for p, lo, hi in parts)
-        if work.shape[1] < size:
-            work = _scratch(size)
-        beta, sse, _ = _profile(arrays, points, parts, work, refine=False)
+        nonlocal layout
+        if layout is None or parts != layout.parts:
+            layout = _Layout(arrays, parts, None if layout is None else layout.scratch)
+        beta, sse, _ = layout.profile(points, refine=False)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

@@ -38,7 +38,13 @@ a sibling run, or when it has reached a better sibling's basin:
   a search with one restart never stop this way.
 
 Catch-up and same basin are the only criteria that read other runs, and
-only those of the same problem.
+only those of the same problem. Both stop only a run that trails its
+leader. A stopped run's best never changes and a running run's only
+falls, so a run that is the last one running of its problem and does not
+trail never trails again: once every problem with runs going is down to
+such a run, the search skips these two rules for good, which moves no
+bit. A last running run that trails, behind a leader stopped by TolFun,
+say, is still stopped by them.
 
 Everything is driven by caller-supplied numpy Generators, one per problem:
 identical generators give bit-identical runs, alone or in any batch.
@@ -94,15 +100,17 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     all runs still going and one call func(points, parts). `points` is a
     (k, n) array of the populations of exactly those runs, each problem's
     rows contiguous and in problem order, and `parts` lists (p, lo, hi) for
-    each problem p with runs going: rows points[lo:hi] are p's. func returns
-    the k objective values, and +inf rejects a point outright. Run 0 of
-    problem p starts at its box center and draws its samples from rngs[p];
-    run r > 0 starts at a uniform random point and draws everything from
-    the r-th child of rngs[p].spawn(restarts - 1), so a run's samples
-    depend neither on `restarts` nor on the other problems. A run draws its
-    normals _DRAW_BLOCK generations at a time, so the generators are left
-    advanced past the last generation a run uses: a caller that wants to
-    reproduce a search passes fresh generators, never ones a search has read.
+    each problem p with runs going: rows points[lo:hi] are p's; it is the
+    same list from one generation to the next until a run stops. func
+    returns the k objective values, and +inf rejects a point outright.
+    Run 0 of problem p starts at its box center and draws its samples from
+    rngs[p]; run r > 0 starts at a uniform random point and draws
+    everything from the r-th child of rngs[p].spawn(restarts - 1), so a
+    run's samples depend neither on `restarts` nor on the other problems.
+    A run draws its normals _DRAW_BLOCK generations at a time, so the
+    generators are left advanced past the last generation a run uses: a
+    caller that wants to reproduce a search passes fresh generators, never
+    ones a search has read.
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
     diverging step size, when it cannot catch up with a strictly better
@@ -136,7 +144,8 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     sigma0 = 0.25
     tol_x = _TOL_X * sigma0
 
-    # Per-run state along the run axis; `ids` names the runs still going.
+    # Per-run state along the run axis, kept for the runs still going only
+    # (`ids` names them); best_f and best_x, below, keep every run's.
     mean = np.array([np.full(n, 0.5) if i % per_problem == 0 else r.uniform(0.0, 1.0, n)
                      for i, r in enumerate(rngs)])
     sigma = np.full(runs, sigma0)
@@ -146,32 +155,32 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     eigvals = np.ones((runs, n))
     eigvecs = cov.copy()
     # best ranked value of each of the last 10 + ceil(30 n / lambda) generations
-    recent_best = np.empty((runs, 10 + math.ceil(30 * n / lam)))
+    history = 10 + math.ceil(30 * n / lam)
+    recent_best = np.empty((runs, history))
     # best_f after each of the last `history` generations: generation g's sits in slot g % history
-    past_best = np.empty((runs, recent_best.shape[1]))
+    past_best = np.empty((runs, history))
     firsts = np.arange(0, runs, per_problem)  # each problem's first run
     ids = np.arange(runs)
 
-    def problems_of(ids):
-        """(p, lo, hi): runs ids[lo:hi] are the running runs of problem p."""
+    def layout(ids):
+        """The problem of each of the runs `ids`, func's parts for them, and their row index."""
         owner = ids // per_problem
         starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-        return [(int(owner[lo]), lo, hi) for lo, hi in zip(starts, [*starts[1:], ids.size])]
+        parts = [(int(owner[lo]), lo * lam, hi * lam)
+                 for lo, hi in zip(starts, [*starts[1:], ids.size])]
+        return owner, parts, np.arange(ids.size)
 
-    def evaluate(parts, points):
-        """Objective values of the (running runs, k, n) points, in one func call."""
-        k = points.shape[1]
-        values = func(points.reshape(-1, n), [(p, lo * k, hi * k) for p, lo, hi in parts])
-        return np.asarray(values, dtype=float).reshape(points.shape[:2])
-
-    parts = problems_of(ids)
-    best_x = np.clip(mean, 0.0, 1.0)
-    best_f = evaluate(parts, (lower + best_x * width)[:, None, :])[:, 0]
+    # the start points: one row per run
+    best_x = np.minimum(np.maximum(mean, 0.0), 1.0)
+    best_f = np.asarray(func(lower + best_x * width, [(p, p * per_problem, (p + 1) * per_problem)
+                                                     for p in range(len(firsts))]), dtype=float)
     past_best[:, 0] = best_f
     run_lower, run_width = lower[:, None, :], width[:, None, :]  # of the running runs
+    owner, parts, rows = layout(ids)
     used = np.ones(runs, dtype=int)
     evals = 1  # per running run: they all started together
     gen = 0
+    settled = False  # whether the rules between runs can no longer fire
 
     # each run's normals for the _DRAW_BLOCK generations from a multiple of
     # _DRAW_BLOCK on, in its stream's order: one call per run per block
@@ -185,22 +194,33 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         z = draws[ids, gen % _DRAW_BLOCK]
         y = z @ (eigvecs * sqrt_d[:, None, :]).transpose(0, 2, 1)  # y_k ~ N(0, C)
         x = mean[:, None, :] + sigma[:, None, None] * y
-        x_clip = np.clip(x, 0.0, 1.0)
-        violation = np.sum((x - x_clip) ** 2, axis=2)
+        x_clip = np.minimum(np.maximum(x, 0.0), 1.0)
+        violation = ((x - x_clip) ** 2).sum(axis=2)
 
-        f_raw = evaluate(parts, run_lower + x_clip * run_width)
+        f_raw = np.asarray(func((run_lower + x_clip * run_width).reshape(-1, n), parts),
+                           dtype=float).reshape(ids.size, lam)
         evals += lam
         gen += 1
-        # the first row holding each run's least value below its best_f
-        k = np.argmin(np.where(f_raw < best_f[ids, None], f_raw, np.inf), axis=1)
-        rows = np.arange(ids.size)
-        better = f_raw[rows, k] < best_f[ids]
-        best_f[ids[better]] = f_raw[rows, k][better]
-        best_x[ids[better]] = x_clip[rows, k][better]
         finite = np.isfinite(f_raw)
-        fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
+        all_finite = finite.all()
+        now = best_f[ids]
+        # the first row holding each run's least value below its best_f; without
+        # nan among the values, the first row holding the least value is that
+        # row when it lies below best_f, and no row improves the run otherwise
+        if all_finite:
+            k = f_raw.argmin(axis=1)
+            fitness = f_raw + _PENALTY * violation
+        else:
+            k = np.where(f_raw < now[:, None], f_raw, np.inf).argmin(axis=1)
+            fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
+        least = f_raw[rows, k]
+        better = least < now
+        if better.any():
+            now = np.where(better, least, now)
+            best_f[ids[better]] = least[better]
+            best_x[ids[better]] = x_clip[rows, k][better]
 
-        order = np.argsort(fitness, axis=1, kind="stable")
+        order = fitness.argsort(axis=1, kind="stable")
         y_sel = y[rows[:, None], order[:, :mu]]
         y_w = weights @ y_sel
         mean = mean + sigma[:, None] * y_w
@@ -212,7 +232,8 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         ps_norm = np.sqrt((p_sigma[:, None, :] @ p_sigma[:, :, None])[:, 0, 0])
         # libm's exp, as a single run has always used: numpy's SIMD exp can
         # differ in the last bit, and that would move every fit
-        sigma = sigma * np.array([math.exp(v) for v in (csigma / dsigma) * (ps_norm / chi_n - 1.0)])
+        steps = ((csigma / dsigma) * (ps_norm / chi_n - 1.0)).tolist()
+        sigma = sigma * np.array(list(map(math.exp, steps)))
 
         # covariance adaptation (rank-1 + rank-mu)
         gens_scale = math.sqrt(1.0 - (1.0 - csigma) ** (2.0 * evals / lam))
@@ -222,7 +243,7 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         cov = (
             (1.0 - c1 - cmu) * cov
             + c1 * (p_c[:, :, None] * p_c[:, None, :]
-                    + ((1.0 - hsig) * cc * (2.0 - cc))[:, None, None] * cov)
+                    + ((1.0 - hsig) * (cc * (2.0 - cc)))[:, None, None] * cov)
             + cmu * rank_mu
         )
         cov = (cov + cov.transpose(0, 2, 1)) / 2.0
@@ -230,47 +251,58 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-30)
 
-        # TolFun looks at the ranked values, box penalty included, and only
-        # at runs whose generation is all finite: inf - inf would be nan
-        recent_best[ids, (gen - 1) % recent_best.shape[1]] = fitness[rows, order[:, 0]]
-        stop = np.zeros(ids.size, dtype=bool)
-        if gen >= recent_best.shape[1]:
-            check = finite.all(axis=1)
-            history = recent_best[ids[check]]
-            top = np.maximum(fitness[check].max(axis=1), history.max(axis=1))
-            bottom = np.minimum(fitness[check].min(axis=1), history.min(axis=1))
-            stop[check] = top - bottom < _TOL_FUN
         # TolX in every coordinate is TolX of the largest one: sqrt and the
-        # rounded product with sigma > 0 are monotone, so no bit moves
+        # rounded product with sigma > 0 are monotone, so no bit moves. A
+        # diverging step size, nan and inf included, fails sigma <= 1e6.
         spread = np.maximum(np.abs(p_c).max(axis=1),
                             np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
-        stop |= sigma * spread < tol_x
-        stop |= ~np.isfinite(sigma) | (sigma > 1e6)
-        # the rules between runs: each running run's leader is the run of its
-        # problem, running or stopped, with the least best value (the first such)
-        lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[ids // per_problem]
-        leader, now = best_f[lead], best_f[ids]
-        trailing = leader < now
-        # catch-up: behind the leader, the best of a TolFun history ago did
-        # not move, or moved too little with too small a step to close the gap
-        slot = gen % past_best.shape[1]
-        if gen >= past_best.shape[1]:
-            then = past_best[ids, slot]
-            with np.errstate(invalid="ignore"):  # inf - inf where a run has no finite best
-                creeping = ((then - now <= _CATCH_UP * (now - leader))
-                            & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
-            stop |= trailing & ((then == now) | creeping)
-        past_best[ids, slot] = now
-        # same basin: behind the leader, with its best point next to the leader's
-        stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
+        stop = (sigma * spread < tol_x) | ~(sigma <= 1e6)
+        # TolFun looks at the ranked values, box penalty included, and only
+        # at runs whose generation is all finite: inf - inf would be nan
+        recent_best[:, (gen - 1) % history] = fitness[rows, order[:, 0]]
+        if gen >= history:
+            if all_finite:
+                top = np.maximum(fitness.max(axis=1), recent_best.max(axis=1))
+                bottom = np.minimum(fitness.min(axis=1), recent_best.min(axis=1))
+                stop |= top - bottom < _TOL_FUN
+            else:
+                check = finite.all(axis=1)
+                recent = recent_best[check]
+                top = np.maximum(fitness[check].max(axis=1), recent.max(axis=1))
+                bottom = np.minimum(fitness[check].min(axis=1), recent.min(axis=1))
+                stop[check] |= top - bottom < _TOL_FUN
+        if not settled:
+            # the rules between runs: each running run's leader is the run of its
+            # problem, running or stopped, with the least best value (the first such)
+            lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[owner]
+            leader = best_f[lead]
+            trailing = leader < now
+            # catch-up: behind the leader, the best of a TolFun history ago did
+            # not move, or moved too little with too small a step to close the gap
+            slot = gen % history
+            if gen >= history:
+                then = past_best[:, slot]
+                with np.errstate(invalid="ignore"):  # inf - inf where a run has no finite best
+                    creeping = ((then - now <= _CATCH_UP * (now - leader))
+                                & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
+                stop |= trailing & ((then == now) | creeping)
+            past_best[:, slot] = now
+            # same basin: behind the leader, with its best point next to the leader's
+            stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop
             ids = ids[keep]
-            parts = problems_of(ids)
-            mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, run_lower, run_width = (
-                a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs,
-                                  run_lower, run_width))
+            owner, parts, rows = layout(ids)
+            if not settled:
+                trailing = trailing[keep]
+            (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, recent_best, past_best,
+             run_lower, run_width) = (
+                a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, recent_best,
+                                  past_best, run_lower, run_width))
+        # every problem down to one running run that does not trail: it never
+        # will (see the module docstring)
+        settled = settled or (len(parts) == ids.size and not trailing.any())
 
     used[ids] = evals
     results = []

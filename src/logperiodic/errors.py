@@ -4,6 +4,8 @@ Everything derives from LogPeriodicError so callers can catch broadly;
 the CLI maps the subclasses onto distinct exit codes.
 """
 
+import operator
+
 
 class LogPeriodicError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,3 +29,15 @@ class FitFailedError(LogPeriodicError):
 
 class InsufficientHistoryError(ValidationError):
     """An endpoint does not have enough prior observations for the window scheme."""
+
+
+def integer(name: str, value) -> int:
+    """`value` of the integer setting `name` as an int; ValidationError for a non-integer.
+
+    Takes what operator.index takes (int, bool, numpy integers), so 2.5 or
+    '2' is an error rather than a silently truncated or unusable value.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

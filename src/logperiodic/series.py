@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 __all__ = ["PriceSeries", "ingest", "resample", "emit_csv"]
 
@@ -39,8 +39,9 @@ class PriceSeries:
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             bad = int(np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))[0])
             raise ValidationError(f"non-positive or non-finite price at index {bad}")
-        if int(self.stride) < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
+        stride = integer("stride", self.stride)
+        if stride < 1:
+            raise ValidationError(f"stride must be >= 1, got {stride}")
         dates = self.dates
         if dates is not None:
             dates = tuple(dates)
@@ -55,7 +56,7 @@ class PriceSeries:
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "log_prices", log_prices)
         object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "stride", int(self.stride))
+        object.__setattr__(self, "stride", stride)
 
     def __reduce__(self):
         return (PriceSeries, (self.prices, self.dates, self.stride))
@@ -140,7 +141,9 @@ def ingest(csv_text: str) -> PriceSeries:
             price = float(cells[1])
         except ValueError:
             raise ValidationError(f"line {line_no}: non-numeric close {cells[1]!r}") from None
-        if not np.isfinite(price) or price <= 0.0:
+        if not np.isfinite(price):
+            raise ValidationError(f"line {line_no}: non-finite close {cells[1]!r}")
+        if price <= 0.0:
             raise ValidationError(f"line {line_no}: non-positive close {cells[1]!r}")
         if dates and date <= dates[-1]:
             raise ValidationError(
@@ -158,7 +161,7 @@ def resample(series: PriceSeries, stride: int) -> PriceSeries:
     with a real observation; the result is re-indexed 0..M-1 and carries
     the requested stride. Output length is ceil(N / stride).
     """
-    stride = int(stride)
+    stride = integer("stride", stride)
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if series.stride != 1:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from logperiodic import FitFailedError, SearchConfig, ValidationError
-from logperiodic.calibrate import TC_GUARD, _objective, _result_at, _window_arrays
+from logperiodic.calibrate import _COND_CAP, TC_GUARD, _objective, _result_at, _window_arrays
 
 
 def dense_normal_solve(t, y, tc, m, omega):
@@ -38,6 +38,45 @@ def dense_normal_solve(t, y, tc, m, omega):
     )
     rhs = np.array([sum(y), dot(f, y), dot(g, y), dot(h, y)])
     return np.linalg.solve(lhs, rhs)
+
+
+def ldl_by_rows(gram, rhs):
+    """Row-by-row LDL^T factor, admissibility and solve of each 4x4 matrix of the (K, 4, 4) gram.
+
+    Returns (d, ok, x): the (K, 4) pivots, the (K,) mask of matrices that
+    are finite with pivots positive and a ratio max/min of at most
+    _COND_CAP, and the (K, 4) solutions of the (K, 4) rhs. Cholesky without
+    pivoting in +, -, x and / only, one entry of all K matrices at a time,
+    each entry's terms in ascending order: the kernel's factor before it
+    went column-wise, which must give the same bits.
+    """
+    lower = [[None] * 4 for _ in range(4)]
+    w = [[None] * 4 for _ in range(4)]  # w[i][j] = lower[i][j] * d[j]
+    d = np.empty((4, len(gram)))
+    for j in range(4):
+        for i in range(j, 4):
+            s = gram[:, i, j]
+            for k in range(j):
+                s = s - lower[i][k] * w[j][k]
+            w[i][j] = s
+        d[j] = w[j][j]
+        for i in range(j + 1, 4):
+            lower[i][j] = w[i][j] / d[j]
+    smallest = d.min(axis=0)
+    ok = np.isfinite(gram).all(axis=(1, 2)) & (smallest > 0.0) & (smallest > d.max(axis=0) / _COND_CAP)
+    z = []
+    for i in range(4):
+        s = rhs[:, i]
+        for k in range(i):
+            s = s - lower[i][k] * z[k]
+        z.append(s)
+    x = [None] * 4
+    for i in reversed(range(4)):
+        s = z[i] / d[i]
+        for k in range(i + 1, 4):
+            s = s - lower[k][i] * x[k]
+        x[i] = s
+    return d.T, ok, np.stack(x, axis=1)
 
 
 def svd_least_squares(t, y, tc, m, omega):

@@ -51,6 +51,18 @@ def test_search_config_validation():
                 SearchConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("population", 7.5), ("restarts", 2.5), ("max_evaluations", 300.5), ("seed", 1.5),
+    ("population", "7"), ("restarts", None),
+])
+def test_search_config_integer_settings_must_be_integers(name, value):
+    # population 7.5 and restarts 2.5 were accepted and the fit then died in numpy;
+    # max_evaluations 300.5 was used as is
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        SearchConfig(**{name: value})
+    assert type(getattr(SearchConfig(**{name: np.int64(9)}), name)) is int
+
+
 def test_linear_solve_exact_interpolation():
     truth = LpplsParams(tc=220.0, m=0.4, omega=9.0, A=8.0, B=-0.02, C1=0.003, C2=-0.001)
     s = generate(SynthSpec(params=truth, n=120, noise_sigma=0.0))

@@ -586,6 +586,16 @@ def test_default_threshold_follows_the_stride():
             "line 5: non-positive close '-5'", id="ingest-file-line-number",
         ),
         pytest.param(
+            ["ingest", "--input", "{tmp}/nan.csv"],
+            {"nan.csv": "date,close\n2020-01-02,100\n2020-01-03,nan\n"}, {},
+            "line 3: non-finite close 'nan'", id="ingest-nan-close",
+        ),
+        pytest.param(
+            ["ingest", "--input", "{tmp}/overflow.csv"],
+            {"overflow.csv": "date,close\n2020-01-02,100\n2020-01-03,1e400\n"}, {},
+            "line 3: non-finite close '1e400'", id="ingest-overflowing-close",
+        ),
+        pytest.param(
             ["ingest", "--input", "{tmp}/one_cell.csv"],
             {"one_cell.csv": "date,close\n2020-01-02,100\n2020-01-03\n"}, {},
             "line 3: expected 'date,close', got '2020-01-03'", id="ingest-one-cell-row",

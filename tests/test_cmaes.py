@@ -274,6 +274,57 @@ def test_run_tying_its_leader_is_not_stopped_by_it():
     assert len(best[0]) - 1 == alone
 
 
+def _cube(xs):
+    """0 on the cube of half-width 0.1 around the box center; a rough well floored near 1 elsewhere.
+
+    A run that starts at the center stops on TolFun once its generations land in the cube.
+    """
+    c = xs - 0.5
+    flat = np.where(np.abs(c).max(axis=1) < 0.1, 0.0, 1.0 + 10.0 * np.sum(c * c, axis=1))
+    e = xs - (0.9, 0.1, 0.9)
+    return np.minimum(flat, 1.0 + 100.0 * np.sum(e * e, axis=1) + 1e-3 * ((xs @ _ROUGH) % 1.0))
+
+
+def test_lone_run_behind_a_leader_stopped_on_tolfun_still_stops_by_catch_up():
+    # run 0 stops on TolFun: every value of its last generation, and the best of each
+    # generation of the history before it, is 0. Run 1 goes on alone in the rough well,
+    # behind it; being the last running run of its problem must not spare it the
+    # catch-up rule, which stops it long before its budget
+    rows, best, alone = _two_runs(_cube, seed=6)
+    stops = [len(b) - 1 for b in best]
+    assert stops[0] == alone < stops[1] < (2000 - 1) // 7 / 4
+    assert all(_cube(r).min() == 0.0 for r in rows[0][stops[0] - _HISTORY + 1 :])
+    assert not _cube(rows[0][-1]).any()
+    assert best[0][-1] == 0.0 < best[1][-1]
+    assert _creeping(best, 1, stops[1])
+
+
+def test_rules_between_runs_hold_while_another_problem_is_down_to_its_leader():
+    # _bowl: run 1 stops in run 0's basin, leaving run 0 alone from generation 29 on.
+    # _trench: run 1 trails run 0 until the catch-up rule stops it at generation 38.
+    # _cube: run 0 stops on TolFun at 29, and run 1 trails it alone until 43.
+    # Lone leaders never stop by the rules between runs, but the batch may skip those
+    # rules only once no running run of any problem trails: each problem's search must
+    # be the one it makes alone, bit for bit
+    objectives, seeds = [_bowl, _trench, _cube], [0, 2, 6]
+    calls = []
+
+    def recording(points, parts):
+        calls.append([(hi - lo) // 7 for _, lo, hi in parts])
+        return _each(*objectives)(points, parts)
+
+    batch = minimize_problems(recording, [LO] * 3, [HI] * 3, popsize=7, max_evals=2000,
+                              restarts=2, rngs=[np.random.default_rng(s) for s in seeds])
+    for objective, seed, found in zip(objectives, seeds, batch):
+        alone = minimize_problems(_each(objective), [LO], [HI], popsize=7, max_evals=2000,
+                                  restarts=2, rngs=[np.random.default_rng(seed)])[0]
+        assert np.array_equal(found.x, alone.x)
+        assert found.cost == alone.cost
+        assert found.evaluations == alone.evaluations
+    # running runs per problem at each generation: both layouts occur
+    assert [1, 2, 1] in calls[1:] and [1, 1, 1] in calls[1:]
+
+
 def test_single_restart_fit_is_pinned(strong_bubble):
     # with one restart every run leads its problem, so neither rule between
     # runs fires; the evaluations are those of the fit before any rule

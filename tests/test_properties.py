@@ -12,10 +12,10 @@ from logperiodic import (  # noqa: E402
     DegenerateBasisError, DomainError, PriceSeries, SearchConfig, SynthSpec, ValidationError,
     Window, WindowScheme, confidence_at, cost, generate, linear_solve, resample, scan,
 )
-from logperiodic.calibrate import _objective, _profile, _window_arrays  # noqa: E402
+from logperiodic.calibrate import _ldl, _ldl_solve, _objective, _profile, _window_arrays  # noqa: E402
 from logperiodic.qualify import _lomb_power  # noqa: E402
 from conftest import bubble_params  # noqa: E402
-from oracles import residual_sum_of_squares, svd_least_squares  # noqa: E402
+from oracles import ldl_by_rows, residual_sum_of_squares, svd_least_squares  # noqa: E402
 
 NOISY = generate(SynthSpec(params=bubble_params(420.0, 0.5, 10.0), n=400, noise_sigma=0.02, seed=17))
 LONG = generate(SynthSpec(params=bubble_params(700.0, 0.5, 10.0), n=680, noise_sigma=0.02, seed=17))
@@ -112,6 +112,53 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
         assert np.max(np.abs(beta[k] - want) / np.maximum(np.abs(want), 1e-10)) <= 1e-8
         for b in (beta[k], raw_beta[k]):
             assert sse[k] == pytest.approx(residual_sum_of_squares(t, y, *points[k], *b), rel=1e-9)
+
+
+# Kinds of 4x4 normal matrices X X^T: full rank; rank 2 (singular); two
+# rows of X 1e-4 to 1e-8 apart (pivot ratios about 1e8 to 1e16, on both sides
+# of the cap); full rank with an entry, and its mirror, replaced by inf, -inf
+# or nan.
+GRAM_KINDS = ("spd", "singular", "ill-conditioned", "non-finite")
+
+
+def _gram(kind, scale, rng):
+    """One symmetric 4x4 matrix of a GRAM_KINDS kind, its entries of order 10^scale."""
+    x = rng.standard_normal((4, 2 if kind == "singular" else 9)) * 10.0 ** (scale / 2)
+    if kind == "ill-conditioned":
+        x[3] = x[2] + 10.0 ** -rng.uniform(4.0, 8.0) * x[3]
+    gram = x @ x.T
+    if kind == "non-finite":
+        i, j = rng.integers(0, 4, 2)
+        gram[i, j] = gram[j, i] = rng.choice([np.inf, -np.inf, np.nan])
+    return gram
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrices=st.lists(st.tuples(st.sampled_from(GRAM_KINDS), st.integers(-150, 150)),
+                      min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(matrices=[(kind, 0) for kind in GRAM_KINDS], seed=0)
+def test_ldl_equals_the_row_by_row_oracle_bit_for_bit(matrices, seed):
+    # the column-wise factor must see every entry's operations in the row-by-row
+    # order: its pivots, admissible mask and solutions are the oracle's, bits and all
+    rng = np.random.default_rng(seed)
+    gram = np.array([_gram(kind, scale, rng) for kind, scale in matrices])
+    rhs = rng.standard_normal((len(gram), 4)) * 10.0 ** rng.integers(-100, 100, (len(gram), 1))
+    # as the kernel lays it out: rows 1-3 and the corner, the first row's other entries unset
+    a = np.full((4, 4, len(gram)), np.nan)
+    a[0, 0] = gram[:, 0, 0]
+    a[1:] = gram[:, 1:].transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        ok = _ldl(a)
+        x = _ldl_solve(a, rhs)
+        want_d, want_ok, want_x = ldl_by_rows(gram, rhs)
+    assert np.array_equal(ok, want_ok)
+    for got, want in ((a.diagonal(), want_d), (x, want_x)):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 @settings(max_examples=10, deadline=None)

@@ -176,6 +176,16 @@ def test_series_validation():
         PriceSeries([1.0, 2.0], None, stride=0)
 
 
+@pytest.mark.parametrize("stride", [2.5, "x", "2", None])
+def test_stride_must_be_an_integer(stride):
+    # 2.5 was truncated to stride 2 and 'x' raised a bare ValueError
+    with pytest.raises(ValidationError, match=f"stride must be an integer, got {stride!r}"):
+        PriceSeries([1.0, 2.0], None, stride=stride)
+    with pytest.raises(ValidationError, match=f"stride must be an integer, got {stride!r}"):
+        resample(ingest(CSV3), stride)
+    assert type(PriceSeries([1.0, 2.0], None, stride=np.int64(5)).stride) is int
+
+
 def test_series_repr():
     assert repr(ingest(CSV3)) == "PriceSeries(n=3, stride=1, 2020-03-02..2020-03-04)"
     assert repr(PriceSeries([1.0, 2.0], None, 5)) == "PriceSeries(n=2, stride=5)"

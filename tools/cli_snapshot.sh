@@ -112,6 +112,11 @@ run ingest_commented ingest --input commented.csv
 # a thousands separator splits a close across two cells
 printf 'date,close\n2020-01-02,3,386.15\n2020-01-03,3,390.00\n' >separator.csv
 run ingest_separator ingest --input separator.csv
+# closes that are not finite numbers: nan, and one that overflows a double
+printf 'date,close\n2020-01-02,100\n2020-01-03,nan\n' >nan_close.csv
+run ingest_nan_close ingest --input nan_close.csv
+printf 'date,close\n2020-01-02,100\n2020-01-03,1e400\n' >overflow_close.csv
+run ingest_overflow_close ingest --input overflow_close.csv
 
 # synth again from its own embedded config alone: it rewrites bubble.csv, and
 # synth_rewrite.cmp stays empty when the two files are byte-identical
