@@ -40,6 +40,8 @@ class Window:
     t2: int
 
     def __post_init__(self):
+        for name in ("t1", "t2"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.t1 < 0 or self.t2 <= self.t1:
             raise ValidationError(f"invalid window [{self.t1}, {self.t2}]")
         if self.length < 8:

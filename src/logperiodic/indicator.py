@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calibrate import SearchConfig, Window, _fit_windows
-from .errors import FitFailedError, InsufficientHistoryError, ValidationError
+from .errors import FitFailedError, InsufficientHistoryError, ValidationError, integer
 from .qualify import BubbleSign, FilterConfig, QualificationReport, qualify
 from .series import PriceSeries
 
@@ -44,6 +44,8 @@ class WindowScheme:
     step: int = 5
 
     def __post_init__(self):
+        for name in ("max_len", "min_len", "step"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.min_len < 8:
             raise ValidationError(f"min_len must be >= 8, got {self.min_len}")
         if self.step < 1:
@@ -102,7 +104,7 @@ class IndicatorPoint:
 
 def windows_for(t2: int, scheme: WindowScheme = WindowScheme()) -> list[Window]:
     """All scheme windows ending at t2, longest first."""
-    t2 = int(t2)
+    t2 = integer("t2", t2)
     if t2 - (scheme.max_len - 1) < 0:
         raise InsufficientHistoryError(
             f"endpoint {t2} needs {scheme.max_len} points of history"

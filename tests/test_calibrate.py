@@ -63,6 +63,15 @@ def test_search_config_integer_settings_must_be_integers(name, value):
     assert type(getattr(SearchConfig(**{name: np.int64(9)}), name)) is int
 
 
+@pytest.mark.parametrize("t1, t2", [(0, 30.5), (0.5, 40), ("0", 30)])
+def test_window_bounds_must_be_integers(t1, t2):
+    # Window(0, 30.5) was accepted, and fitting it died on a bare TypeError
+    bad, value = ("t1", t1) if not isinstance(t1, int) else ("t2", t2)
+    with pytest.raises(ValidationError, match=f"{bad} must be an integer, got {value!r}"):
+        Window(t1, t2)
+    assert type(Window(np.int64(0), np.int64(30)).t2) is int
+
+
 def test_linear_solve_exact_interpolation():
     truth = LpplsParams(tc=220.0, m=0.4, omega=9.0, A=8.0, B=-0.02, C1=0.003, C2=-0.001)
     s = generate(SynthSpec(params=truth, n=120, noise_sigma=0.0))

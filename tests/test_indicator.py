@@ -60,6 +60,19 @@ def test_scheme_validation():
         WindowScheme(650, 30, 7)  # 620 not divisible by 7
 
 
+@pytest.mark.parametrize("name, value", [("max_len", 650.5), ("min_len", 30.0), ("step", "x")])
+def test_scheme_lengths_must_be_integers(name, value):
+    # step 'x' died on a bare TypeError; 650.5 was named only as indivisible
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        WindowScheme(**{name: value})
+
+
+def test_windows_for_needs_an_integer_endpoint():
+    # t2 = 659.5 was truncated to 659
+    with pytest.raises(ValidationError, match="t2 must be an integer, got 659.5"):
+        windows_for(659.5, WindowScheme(650, 30, 5))
+
+
 def test_window_seed_stable_and_distinct():
     assert window_seed(42, 100, 30) == window_seed(42, 100, 30)
     seeds = {window_seed(42, t2, length) for t2 in (100, 101) for length in (30, 35)}

@@ -4,12 +4,14 @@
 
 <src-a> and <src-b> are directories that hold a `logperiodic` package (a
 checkout's `src`). Both are imported into this one process under the names
-`logperiodic_a` and `logperiodic_b`, so they share the interpreter, numpy,
-BLAS and the host's state of the moment; a drift of the host over the run
-falls on both sides of every pair alike. Each pair times every measure on
-both trees, unit by unit: a fit, a chunk, a kernel call or a search of one
-tree, then the same of the other, a first in even pairs and b first in odd
-ones. The measures:
+`logperiodic_a0`, `logperiodic_b0`, `logperiodic_b1` and `logperiodic_a1`,
+so they share the interpreter, numpy, BLAS and the host's state of the
+moment; a drift of the host over the run falls on both sides of every pair
+alike. Each pair times every measure on both trees, unit by unit: a fit, a
+chunk, a kernel call or a search of one tree, then the same of the other.
+Even pairs run a's first copy first and b's first copy second, odd pairs
+b's second copy first and a's second copy second, so neither the order of
+the runs nor that of the imports favours a side. The measures:
 
 - `sweep_s`: the fit-sweep workload's fits, one `fit` per window length
   650..30 step 62 ending at the bubble end, each under its scan seed, in
@@ -21,7 +23,7 @@ ones. The measures:
   rows of one 340-point window, in µs, the median of R calls;
 - `cmaes_us_per_gen`: a five-restart search of a 3-dimensional sphere with
   an objective that costs next to nothing, in µs per generation, the
-  median of 3 searches.
+  median of 5 searches.
 
 Series seed K + i feeds pair i's fits, and the kernel rows are drawn from
 it. The series come from `perfbench/inputs.py`, which does not use the
@@ -156,12 +158,18 @@ def main(argv) -> int:
         parser.error("both source arguments must be directories holding a logperiodic package")
     if args.pairs < 1 or args.repeat < 1:
         parser.error("--pairs and --repeat must be at least 1")
-    trees = {"a": load(args.src_a, "logperiodic_a"), "b": load(args.src_b, "logperiodic_b")}
+    # Each tree is imported twice, in the order a, b, b, a: the copy imported
+    # later ran the same search up to 3% faster here, so the pairs alternate
+    # between a's first copy against b's first and b's second against a's.
+    imported = [load(args.src_a, "logperiodic_a0"), load(args.src_b, "logperiodic_b0"),
+                load(args.src_b, "logperiodic_b1"), load(args.src_a, "logperiodic_a1")]
 
     readings = {"a": [], "b": []}
     for i in range(args.pairs):
         seed = args.seed + i
         first = "a" if i % 2 == 0 else "b"
+        trees = ({"a": imported[0], "b": imported[1]} if first == "a"
+                 else {"b": imported[2], "a": imported[3]})
         series = {s: lp.ingest(inputs.csv_text(inputs.bubble_log_prices(seed)))
                   for s, lp in trees.items()}
         values = {"a": {}, "b": {}}
@@ -171,7 +179,7 @@ def main(argv) -> int:
             *((f"kernel_us.n{KERNEL_N}.K{rows}", lambda t: 1e6 * statistics.median(t), args.repeat,
                {s: [kernel_unit(lp, series[s], rows, seed)] for s, lp in trees.items()})
               for rows in KERNEL_ROWS),
-            ("cmaes_us_per_gen", None, 3, {s: [cmaes_unit(lp, seed)] for s, lp in trees.items()}),
+            ("cmaes_us_per_gen", None, 5, {s: [cmaes_unit(lp, seed)] for s, lp in trees.items()}),
         ]
         for name, reduce, repeat, units in measures:
             times, results = interleave(units, first, repeat)
