@@ -194,7 +194,7 @@ def confidence_at(
     count, and identical on the series truncated at t2; search_cfg.seed
     is not read.
     """
-    t2 = int(t2)
+    t2 = integer("t2", t2)
     if t2 >= len(series):
         raise ValidationError(f"endpoint {t2} outside series of length {len(series)}")
     (point,) = _points(series, [t2], scheme, search_cfg, filter_cfg, base_seed, workers,
@@ -221,7 +221,8 @@ def scan(
     and equal to a sequential run. Window seeds come from
     window_seed(base_seed, t2, length); search_cfg.seed is not read.
     """
-    t2_first, t2_last, t2_step = int(t2_first), int(t2_last), int(t2_step)
+    t2_first, t2_last, t2_step = (integer(name, value) for name, value in (
+        ("t2_first", t2_first), ("t2_last", t2_last), ("t2_step", t2_step)))
     if t2_step < 1:
         raise ValidationError(f"t2_step must be >= 1, got {t2_step}")
     if t2_last < t2_first:

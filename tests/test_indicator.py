@@ -67,10 +67,18 @@ def test_scheme_lengths_must_be_integers(name, value):
         WindowScheme(**{name: value})
 
 
-def test_windows_for_needs_an_integer_endpoint():
-    # t2 = 659.5 was truncated to 659
+def test_endpoints_must_be_integers():
+    # each was truncated: t2 = 659.5 to 659, a scan step of 1.5 to 1
     with pytest.raises(ValidationError, match="t2 must be an integer, got 659.5"):
         windows_for(659.5, WindowScheme(650, 30, 5))
+    series = PriceSeries(np.exp(np.linspace(1.0, 2.0, 200)), None, 1)
+    scheme = WindowScheme(60, 30, 15)
+    with pytest.raises(ValidationError, match="t2 must be an integer, got 100.5"):
+        confidence_at(series, 100.5, scheme, FAST_SEARCH)
+    for args, name in (((100.5, 101), "t2_first"), ((100, 101.0), "t2_last"),
+                       ((100, 101, 1.5), "t2_step")):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            scan(series, *args, scheme=scheme, search_cfg=FAST_SEARCH, workers=1)
 
 
 def test_window_seed_stable_and_distinct():
