@@ -94,7 +94,7 @@ class SearchConfig:
         return float(window.t2), float(window.t2) + self.tc_extension * (window.t2 - window.t1)
 
     def with_seed(self, seed: int) -> "SearchConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,13 @@ _COND_CAP = 1e12
 
 
 def _scratch(size: int) -> np.ndarray:
-    """Work array of _profile for calls of up to `size` points, summed over their rows.
+    """Work array of _Layout.profile for calls of up to `size` points, summed over their rows.
 
     A call lays every row of every window one after another along the
     (7, size) array, each row's n points contiguous: rows 0-3 hold the
     design [1, f, g, h], rows 4-6 ln(tc - t), the half-angle tangent u and
     the scale f / (1 + u^2), and row 4 then the fitted values. Row 0 is
-    filled with ones here, once; _profile never writes it.
+    filled with ones here, once; profile never writes it.
     """
     work = np.empty((7, size))
     work[0] = 1.0
@@ -193,7 +193,7 @@ def _ldl_solve(a, rhs) -> np.ndarray:
 
 
 class _Layout:
-    """Where _profile puts the rows of one `parts` list, kept while that list holds.
+    """Where profile puts the rows of one `parts` list, kept while that list holds.
 
     `parts` lists (p, lo, hi) in row order: rows lo:hi of a call are
     window p's, whose (t, y) is arrays[p]. Every row of every window gets
@@ -201,10 +201,10 @@ class _Layout:
     before it. The layout holds each window's (k, 7, n) view of that array,
     work rows as second axis, and the views of it, of the normal matrices
     and of the right-hand sides that each pass of a call writes or reads,
-    together with each row's window end t[-1] and the corner of each row's
-    normal matrix, its point count n. `work` reuses a previous layout's
-    array when it is large enough, so one kept array serves every call of a
-    search; every element a call reads is written first.
+    together with the corner of each row's normal matrix, its point count
+    n. `work` reuses a previous layout's array when it is large enough, so
+    one kept array serves every call of a search; every element a call
+    reads is written first.
     """
 
     def __init__(self, arrays, parts, work=None):
@@ -217,7 +217,6 @@ class _Layout:
         self.scratch = work
         self.work_rows = tuple(work[:, :size])  # 1, f, g, h, ln(tc - t), u, scale
         rows = sum(counts)
-        self.ends = np.repeat([arrays[p][0][-1] for p, _, _ in self.parts], counts)
         self.gram = np.empty((rows, 3, 4))  # rows 1-3 of each normal matrix
         self.rhs = np.empty((rows, 4))
         self.a = np.empty((4, 4, rows))  # the factor's copy; _ldl never writes a[0, 0]
@@ -240,15 +239,40 @@ class _Layout:
             start += k * n
 
     def profile(self, points, refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_profile of the (K, 3) points laid out by this layout's parts."""
+        """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
+
+        `points` is a (K, 3) float array laid out by the layout's parts: rows
+        points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
+        row the design matrix is [1, f, g, h] with f=(tc-t)^m,
+        g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)), and the result is
+        (beta, sse, ok): the (K, 4) least-squares (A, B, C1, C2)
+        from the normal system, the (K,) residual sums of squares, and the
+        (K,) admissible mask. A row is admissible when its normal matrix is
+        finite and the LDL^T pivots of that matrix are positive with a ratio
+        max/min of at most _COND_CAP. A row whose tc is at or before its
+        window's end is never admissible: ln(tc-t) is -inf or nan at the end,
+        so the half-angle tangent there, and with it g and h, is nan.
+        Rejected rows have sse = +inf and an undefined beta; they never
+        change the other rows.
+
+        All rows of all windows share one flat work array (see the class): only
+        tc - t, m ln(tc-t) and w ln(tc-t)/2 read a row's own parameters and
+        take one broadcast per window, and every other elementwise pass is one
+        call over the whole array. Each window's normal matrices, right-hand
+        sides and residuals are gemms on a (k, 4, n) view of it; one batched
+        LDL^T (_ldl) then factors, checks and solves the normal systems of all
+        K rows. With `refine`, beta takes one refinement step against the
+        residual, under the same factor. The sse is taken before it either way:
+        it is the minimum of a quadratic, so beta's error moves it only at
+        second order, and the search's objective, which needs no more than the
+        sse and the damping ratio, skips the step.
+        """
         tc, m, omega = points.T
         _, f, g, h, ldt, u, scale = self.work_rows
         a = self.a
         # Rows that fail a check produce inf/nan (log of tc-t <= 0, overflowing
         # powers, a zero pivot); the mask rejects them, so their warnings are noise.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # tc > t[-1] is tc - t[-1] > 0: a difference of unequal doubles is never 0
-            ok = tc > self.ends
             for lo, hi, t, out in self.differences:
                 np.subtract(tc[lo:hi, None], t, out=out)
             np.log(ldt, out=ldt)
@@ -275,7 +299,7 @@ class _Layout:
                 np.matmul(x_fgh, x_t, out=gram)
                 np.matmul(xk, y, out=rhs)
             a[1:] = self.gram.transpose(1, 2, 0)
-            ok &= _ldl(a)
+            ok = _ldl(a)
             beta = _ldl_solve(a, self.rhs)
             for lo, hi, xk, fit_out, y, fit, sse, resid_col, rhs_col in self.residuals:
                 np.matmul(beta[lo:hi, None, :], xk, out=fit_out)
@@ -291,41 +315,11 @@ class _Layout:
         return beta, np.where(ok, self.sse, np.inf), ok
 
 
-def _profile(arrays, points, parts,
-             refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
-
-    `points` is a (K, 3) array and `parts` lists (p, lo, hi) in row order:
-    rows points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
-    row the design matrix is [1, f, g, h] with f=(tc-t)^m,
-    g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)), and the result is
-    (beta, sse, ok): the (K, 4) least-squares (A, B, C1, C2)
-    from the normal system, the (K,) residual sums of squares, and the
-    (K,) admissible mask. A row is admissible when tc exceeds its window's
-    end, its normal matrix is finite, and the LDL^T pivots of that matrix
-    are positive with a ratio max/min of at most _COND_CAP. Rejected rows
-    have sse = +inf and an undefined beta; they never change the other rows.
-
-    All rows of all windows share one flat work array (see _Layout): only
-    tc - t, m ln(tc-t) and w ln(tc-t)/2 read a row's own parameters and
-    take one broadcast per window, and every other elementwise pass is one
-    call over the whole array. Each window's normal matrices, right-hand
-    sides and residuals are gemms on a (k, 4, n) view of it; one batched
-    LDL^T (_ldl) then factors, checks and solves the normal systems of all
-    K rows. With `refine`, beta takes one refinement step against the
-    residual, under the same factor. The sse is taken before it either way:
-    it is the minimum of a quadratic, so beta's error moves it only at
-    second order, and the search's objective, which needs no more than the
-    sse and the damping ratio, skips the step.
-    """
-    return _Layout(arrays, parts).profile(np.asarray(points, dtype=float), refine)
-
-
 def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse, ok = _profile([(t, y)], [(tc, m, omega)], [(0, 0, 1)])
+    beta, sse, ok = _Layout([(t, y)], [(0, 0, 1)]).profile(np.array([[tc, m, omega]], dtype=float))
     if not ok[0]:
         raise DegenerateBasisError(
             f"normal matrix not finite or pivot ratio above {_COND_CAP:g} "
@@ -340,8 +334,9 @@ def linear_solve(series: PriceSeries, window: Window, tc: float, m: float, omega
     Raises DomainError when tc does not exceed the window end, and
     DegenerateBasisError when the 4x4 normal system is not finite or
     numerically singular (a pivot of its LDL^T factor not positive, or a
-    pivot ratio above 1e12); the nonlinear search rejects exactly the same
-    candidates.
+    pivot ratio above 1e12). The nonlinear search rejects exactly these
+    candidates, and also those whose damping ratio falls below the
+    configured floor.
     """
     t, y = _window_arrays(series, window)
     beta, _ = _profile_one(t, y, tc, m, omega)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .indicator import IndicatorPoint
 from .series import PriceSeries
 
@@ -70,7 +70,7 @@ def peak_ci(
     """Largest indicator of the given sign with t2 in [lo, hi]; earliest on ties."""
     if sign not in ("positive", "negative"):
         raise ValidationError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    lo, hi = (int(t2_range[0]), int(t2_range[1]))
+    lo, hi = (integer(f"t2_range[{i}]", t2_range[i]) for i in (0, 1))
     candidates = sorted((p for p in points if lo <= p.t2 <= hi), key=lambda p: p.t2)
     if not candidates:
         raise ValidationError(f"no indicator points with t2 in [{lo}, {hi}]")
@@ -99,7 +99,7 @@ def crash_stats(series: PriceSeries, review: tuple[int, int]) -> CrashStats:
     crash_size = (peak - valley) / peak. Raises if no observation after the
     peak falls below it (no crash to measure).
     """
-    lo, hi = (int(review[0]), int(review[1]))
+    lo, hi = (integer(f"review[{i}]", review[i]) for i in (0, 1))
     if not 0 <= lo < hi < len(series):
         raise ValidationError(f"review interval [{lo}, {hi}] outside series")
     prices = series.prices[lo : hi + 1]

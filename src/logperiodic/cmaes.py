@@ -18,8 +18,8 @@ Strategy: A Tutorial" (arXiv:1604.00772), when it cannot catch up with
 a sibling run, or when it has reached a better sibling's basin:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
-  and all values of the current generation span less than _TOL_FUN. Only a
-  generation whose values are all finite can trip it.
+  and all values of the current generation span less than _TOL_FUN. A span
+  that holds a rejected value is inf or nan and never trips it.
 - TolX: sigma * |p_c| and sigma * sqrt(diag(C)) are below _TOL_X times the
   initial step size in every coordinate.
 - Catch-up: another run of the same problem, running or stopped, holds a
@@ -102,7 +102,8 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     rows contiguous and in problem order, and `parts` lists (p, lo, hi) for
     each problem p with runs going: rows points[lo:hi] are p's; it is the
     same list from one generation to the next until a run stops. func
-    returns the k objective values, and +inf rejects a point outright.
+    returns the k objective values; +inf or nan rejects a point, and the
+    search reads nan as +inf.
     Run 0 of problem p starts at its box center and draws its samples from
     rngs[p]; run r > 0 starts at a uniform random point and draws
     everything from the r-th child of rngs[p].spawn(restarts - 1), so a
@@ -172,8 +173,9 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
 
     # the start points: one row per run
     best_x = np.minimum(np.maximum(mean, 0.0), 1.0)
-    best_f = np.asarray(func(lower + best_x * width, [(p, p * per_problem, (p + 1) * per_problem)
-                                                     for p in range(len(firsts))]), dtype=float)
+    # nan reads as +inf from here on: a nan best would never be beaten
+    best_f = np.fmin(func(lower + best_x * width, [(p, p * per_problem, (p + 1) * per_problem)
+                                                   for p in range(len(firsts))]), np.inf)
     past_best[:, 0] = best_f
     run_lower, run_width = lower[:, None, :], width[:, None, :]  # of the running runs
     owner, parts, rows = layout(ids)
@@ -197,22 +199,15 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         x_clip = np.minimum(np.maximum(x, 0.0), 1.0)
         violation = ((x - x_clip) ** 2).sum(axis=2)
 
-        f_raw = np.asarray(func((run_lower + x_clip * run_width).reshape(-1, n), parts),
-                           dtype=float).reshape(ids.size, lam)
+        f_raw = np.fmin(func((run_lower + x_clip * run_width).reshape(-1, n), parts),
+                        np.inf).reshape(ids.size, lam)
         evals += lam
         gen += 1
-        finite = np.isfinite(f_raw)
-        all_finite = finite.all()
         now = best_f[ids]
-        # the first row holding each run's least value below its best_f; without
-        # nan among the values, the first row holding the least value is that
-        # row when it lies below best_f, and no row improves the run otherwise
-        if all_finite:
-            k = f_raw.argmin(axis=1)
-            fitness = f_raw + _PENALTY * violation
-        else:
-            k = np.where(f_raw < now[:, None], f_raw, np.inf).argmin(axis=1)
-            fitness = np.where(finite, f_raw + _PENALTY * violation, f_raw)
+        # the first row holding each run's least value: it improves the run
+        # when it lies below best_f, and no row does otherwise
+        k = f_raw.argmin(axis=1)
+        fitness = f_raw + _PENALTY * violation
         least = f_raw[rows, k]
         better = least < now
         if better.any():
@@ -257,38 +252,33 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         spread = np.maximum(np.abs(p_c).max(axis=1),
                             np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
         stop = (sigma * spread < tol_x) | ~(sigma <= 1e6)
-        # TolFun looks at the ranked values, box penalty included, and only
-        # at runs whose generation is all finite: inf - inf would be nan
         recent_best[:, (gen - 1) % history] = fitness[rows, order[:, 0]]
-        if gen >= history:
-            if all_finite:
+        # inf - inf is nan where a run holds a rejected value or has no finite
+        # best, and nan fails every comparison: it neither converges nor stalls
+        with np.errstate(invalid="ignore"):
+            if gen >= history:
+                # TolFun looks at the ranked values, box penalty included: the
+                # range of a run with a rejected value among them is inf or nan
                 top = np.maximum(fitness.max(axis=1), recent_best.max(axis=1))
                 bottom = np.minimum(fitness.min(axis=1), recent_best.min(axis=1))
                 stop |= top - bottom < _TOL_FUN
-            else:
-                check = finite.all(axis=1)
-                recent = recent_best[check]
-                top = np.maximum(fitness[check].max(axis=1), recent.max(axis=1))
-                bottom = np.minimum(fitness[check].min(axis=1), recent.min(axis=1))
-                stop[check] |= top - bottom < _TOL_FUN
-        if not settled:
-            # the rules between runs: each running run's leader is the run of its
-            # problem, running or stopped, with the least best value (the first such)
-            lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[owner]
-            leader = best_f[lead]
-            trailing = leader < now
-            # catch-up: behind the leader, the best of a TolFun history ago did
-            # not move, or moved too little with too small a step to close the gap
-            slot = gen % history
-            if gen >= history:
-                then = past_best[:, slot]
-                with np.errstate(invalid="ignore"):  # inf - inf where a run has no finite best
+            if not settled:
+                # the rules between runs: each running run's leader is the run of its
+                # problem, running or stopped, with the least best value (the first such)
+                lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[owner]
+                leader = best_f[lead]
+                trailing = leader < now
+                # catch-up: behind the leader, the best of a TolFun history ago did
+                # not move, or moved too little with too small a step to close the gap
+                slot = gen % history
+                if gen >= history:
+                    then = past_best[:, slot]
                     creeping = ((then - now <= _CATCH_UP * (now - leader))
                                 & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
-                stop |= trailing & ((then == now) | creeping)
-            past_best[:, slot] = now
-            # same basin: behind the leader, with its best point next to the leader's
-            stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
+                    stop |= trailing & ((then == now) | creeping)
+                past_best[:, slot] = now
+                # same basin: behind the leader, with its best point next to the leader's
+                stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop

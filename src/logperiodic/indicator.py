@@ -77,13 +77,17 @@ class WindowOutcome:
 
 @dataclass(frozen=True)
 class IndicatorPoint:
-    """Confidence indicator at one endpoint, counts kept exact."""
+    """Confidence indicator at one endpoint, counts kept exact.
+
+    diagnostics holds the outcome of each scheme window, longest first; it
+    is empty for points read back from a scan table.
+    """
 
     t2: int
     windows_total: int
     windows_qualified_pos: int
     windows_qualified_neg: int
-    diagnostics: tuple[WindowOutcome, ...] | None = None
+    diagnostics: tuple[WindowOutcome, ...] = ()
 
     @property
     def positive_ci(self) -> float:
@@ -114,7 +118,8 @@ def windows_for(t2: int, scheme: WindowScheme = WindowScheme()) -> list[Window]:
 
 def window_seed(base_seed: int, t2: int, length: int) -> int:
     """Stable per-window seed; identical across runs, platforms and workers."""
-    ss = np.random.SeedSequence(entropy=[int(base_seed), int(t2), int(length)])
+    entropy = [integer("base_seed", base_seed), integer("t2", t2), integer("length", length)]
+    ss = np.random.SeedSequence(entropy=entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -147,10 +152,10 @@ def _chunk_task(args) -> list[WindowOutcome]:
     return outcomes
 
 
-def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers,
-            keep_diagnostics=False) -> list[IndicatorPoint]:
+def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed,
+            workers) -> list[IndicatorPoint]:
     """Fit and qualify every scheme window of every endpoint as one task list."""
-    if base_seed < 0:
+    if integer("base_seed", base_seed) < 0:
         raise ValidationError(f"base_seed must be >= 0, got {base_seed}")
     tasks = []
     for t2 in endpoints:
@@ -173,7 +178,7 @@ def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, worker
         own = tuple(outcomes[i * scheme.count : (i + 1) * scheme.count])
         signs = Counter(o.report.sign for o in own if o.report is not None and o.report.qualified)
         points.append(IndicatorPoint(t2, scheme.count, signs[BubbleSign.POSITIVE],
-                                     signs[BubbleSign.NEGATIVE], own if keep_diagnostics else None))
+                                     signs[BubbleSign.NEGATIVE], own))
     return points
 
 
@@ -185,20 +190,19 @@ def confidence_at(
     filter_cfg: FilterConfig = FilterConfig(),
     base_seed: int = 0,
     workers: int | None = None,
-    keep_diagnostics: bool = False,
 ) -> IndicatorPoint:
     """Indicator at one endpoint: fit and qualify every scheme window.
 
     Each window gets the seed window_seed(base_seed, t2, length), so the
     value is reproducible and independent of execution order or worker
     count, and identical on the series truncated at t2; search_cfg.seed
-    is not read.
+    is not read. The point, window outcomes included, equals the one point
+    of a scan from t2 to t2.
     """
     t2 = integer("t2", t2)
     if t2 >= len(series):
         raise ValidationError(f"endpoint {t2} outside series of length {len(series)}")
-    (point,) = _points(series, [t2], scheme, search_cfg, filter_cfg, base_seed, workers,
-                       keep_diagnostics)
+    (point,) = _points(series, [t2], scheme, search_cfg, filter_cfg, base_seed, workers)
     return point
 
 

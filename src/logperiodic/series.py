@@ -65,11 +65,11 @@ class PriceSeries:
         return self.prices.size
 
     def date_of(self, i: int) -> _dt.date | None:
-        return self.dates[int(i)] if self.dates is not None else None
+        return self.dates[integer("index", i)] if self.dates is not None else None
 
     def truncate(self, last_index: int) -> "PriceSeries":
         """Series restricted to indices 0..last_index (inclusive)."""
-        last_index = int(last_index)
+        last_index = integer("last_index", last_index)
         if not 1 <= last_index < len(self):
             raise ValidationError(f"truncation index {last_index} out of range")
         dates = self.dates[: last_index + 1] if self.dates is not None else None

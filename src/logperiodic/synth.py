@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .model import LpplsParams, evaluate
 from .series import PriceSeries
 
@@ -41,6 +41,8 @@ class SynthSpec:
     start_date: _dt.date | None = DEFAULT_START_DATE
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.n < 2:
             raise ValidationError(f"need n >= 2 points, got {self.n}")
         if not 0 <= self.noise_sigma < math.inf:

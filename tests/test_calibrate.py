@@ -63,6 +63,13 @@ def test_search_config_integer_settings_must_be_integers(name, value):
     assert type(getattr(SearchConfig(**{name: np.int64(9)}), name)) is int
 
 
+def test_with_seed_must_be_an_integer():
+    # with_seed(1.5) was truncated to seed 1
+    with pytest.raises(ValidationError, match="seed must be an integer, got 1.5"):
+        SearchConfig().with_seed(1.5)
+    assert SearchConfig().with_seed(np.uint64(7)).seed == 7
+
+
 @pytest.mark.parametrize("t1, t2", [(0, 30.5), (0.5, 40), ("0", 30)])
 def test_window_bounds_must_be_integers(t1, t2):
     # Window(0, 30.5) was accepted, and fitting it died on a bare TypeError

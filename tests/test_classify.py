@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,18 @@ def test_peak_ci_respects_range_and_sign():
         peak_ci(pts, (5, 9), "positive")
     with pytest.raises(ValidationError):
         peak_ci(pts, (1, 2), "sideways")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: peak_ci([_point(0, 20)], (0.5, 3.9)), "t2_range[0]"),
+    (lambda: crash_stats(PriceSeries(np.linspace(200.0, 100.0, 150), None, 1), (50.7, 119.9)),
+     "review[0]"),
+], ids=["peak_ci", "crash_stats"])
+def test_review_bounds_must_be_integers(call, name):
+    # both were truncated: peak_ci returned t2 = 0, outside the range asked for,
+    # and crash_stats measured the interval [50, 119]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be an integer")):
+        call()
 
 
 @pytest.mark.parametrize("name,peak,valley,size", CRASHES_DAILY)

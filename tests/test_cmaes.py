@@ -52,11 +52,47 @@ def test_point_adapter_is_the_population_loop():
 
 
 def test_all_inf_objective_spends_the_whole_budget():
-    # inf - inf is nan: a range of rejected values must never read as converged
-    res = minimize_problems(_each(lambda xs: np.full(len(xs), np.inf)), [LO], [HI], popsize=7,
-                            max_evals=300, restarts=2, rngs=[np.random.default_rng(0)])[0]
-    assert res.cost == math.inf
-    assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
+    # inf - inf is nan: a range of rejected values must never read as converged;
+    # an all-nan objective rejects every point as well
+    for rejected in (np.inf, np.nan):
+        res = minimize_problems(_each(lambda xs: np.full(len(xs), rejected)), [LO], [HI],
+                                popsize=7, max_evals=300, restarts=2,
+                                rngs=[np.random.default_rng(0)])[0]
+        assert res.cost == math.inf
+        assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
+
+
+def _rejecting(value, centre):
+    """Squared distance to `centre`, `value` where x0 > 0.7: a face of the box rejected."""
+    def func(xs):
+        d = xs - centre
+        return np.where(xs[:, 0] > 0.7, value, (d * d).sum(axis=1))
+    return func
+
+
+def test_nan_rejects_a_point_as_inf_does():
+    # a run whose start point reads nan must not keep nan as its best (no value
+    # is below nan), nor return that start point as its problem's result
+    for seed in range(4):
+        searches = []
+        for value in (np.inf, np.nan):
+            objective = _each(_rejecting(value, 0.3), _rejecting(value, 0.6))
+            calls = []
+
+            def func(points, parts):
+                calls.append(np.array(points))
+                return objective(points, parts)
+
+            found = minimize_problems(func, [LO, LO], [HI, HI], popsize=7, max_evals=600,
+                                      restarts=4, rngs=[np.random.default_rng(s)
+                                                        for s in (seed, seed + 100)])
+            searches.append((calls, found))
+        (inf_calls, inf_found), (nan_calls, nan_found) = searches
+        assert len(inf_calls) == len(nan_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(inf_calls, nan_calls))
+        for a, b in zip(inf_found, nan_found):
+            assert np.array_equal(a.x, b.x) and (a.cost, a.evaluations) == (b.cost, b.evaluations)
+            assert a.cost < 1e-10
 
 
 def _two_wells(xs):

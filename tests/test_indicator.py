@@ -88,6 +88,15 @@ def test_window_seed_stable_and_distinct():
     assert window_seed(43, 100, 30) != window_seed(42, 100, 30)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.5, 100, 60), "base_seed"), ((1, 100.9, 60), "t2"), ((1, 100, "60"), "length"),
+])
+def test_window_seed_arguments_must_be_integers(args, name):
+    # 1.5 and 100.9 were truncated: window_seed(1.5, 100, 60) == window_seed(1, 100, 60)
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        window_seed(*args)
+
+
 @pytest.fixture(scope="module")
 def bubble_series():
     params = bubble_params(430.0, 0.5, 8.0, B=-0.8)
@@ -99,7 +108,7 @@ def bubble_series():
 def test_confidence_at_counts_and_diagnostics(bubble_series):
     pt = confidence_at(
         bubble_series, 419, SMALL_SCHEME, FAST_SEARCH, FilterConfig(),
-        base_seed=42, keep_diagnostics=True,
+        base_seed=42,
     )
     assert pt.windows_total == SMALL_SCHEME.count == 5
     assert pt.windows_qualified_pos + pt.windows_qualified_neg <= pt.windows_total
@@ -132,8 +141,7 @@ def test_confidence_at_parallel_equals_serial(bubble_series):
 def test_failed_fits_count_as_unqualified_and_keep_the_denominator(bubble_series):
     # A damping floor no candidate can meet makes every window's fit fail.
     failing = SearchConfig(damping_floor=1e12, max_evaluations=100, restarts=1)
-    pt = confidence_at(bubble_series, 419, SMALL_SCHEME, failing, base_seed=42,
-                       keep_diagnostics=True)
+    pt = confidence_at(bubble_series, 419, SMALL_SCHEME, failing, base_seed=42)
     assert (pt.windows_total, pt.windows_qualified_pos, pt.windows_qualified_neg) == (
         SMALL_SCHEME.count, 0, 0)
     assert len(pt.diagnostics) == SMALL_SCHEME.count
@@ -197,8 +205,7 @@ def test_chunked_outcomes_equal_per_window_fits(bubble_series):
     scheme = WindowScheme(200, 30, 10)
     search = SearchConfig(max_evaluations=300, restarts=2)
     assert scheme.count % indicator._CHUNK != 0
-    runs = [indicator._points(bubble_series, [300, 419], scheme, search, FilterConfig(), 42,
-                              workers, keep_diagnostics=True)
+    runs = [indicator._points(bubble_series, [300, 419], scheme, search, FilterConfig(), 42, workers)
             for workers in (1, 2)]
     assert runs[0] == runs[1]
     for point in runs[0]:
@@ -257,10 +264,8 @@ def test_removing_windows_bounds_ci_shift(bubble_series):
     # move by at most (removed count) / windows_total before renormalizing.
     full_scheme = WindowScheme(120, 40, 20)      # lengths 120..40
     sub_scheme = WindowScheme(120, 60, 20)       # drops the length-40 window
-    full = confidence_at(bubble_series, 419, full_scheme, FAST_SEARCH, base_seed=42,
-                         keep_diagnostics=True)
-    sub = confidence_at(bubble_series, 419, sub_scheme, FAST_SEARCH, base_seed=42,
-                        keep_diagnostics=True)
+    full = confidence_at(bubble_series, 419, full_scheme, FAST_SEARCH, base_seed=42)
+    sub = confidence_at(bubble_series, 419, sub_scheme, FAST_SEARCH, base_seed=42)
     shared_full = {o.window.length: (o.report.qualified, o.report.sign) for o in full.diagnostics
                    if o.window.length >= 60}
     shared_sub = {o.window.length: (o.report.qualified, o.report.sign) for o in sub.diagnostics}

@@ -12,7 +12,7 @@ from logperiodic import (  # noqa: E402
     DegenerateBasisError, DomainError, PriceSeries, SearchConfig, SynthSpec, ValidationError,
     Window, WindowScheme, confidence_at, cost, generate, linear_solve, resample, scan,
 )
-from logperiodic.calibrate import _ldl, _ldl_solve, _objective, _profile, _window_arrays  # noqa: E402
+from logperiodic.calibrate import _Layout, _ldl, _ldl_solve, _objective, _window_arrays  # noqa: E402
 from logperiodic.qualify import _lomb_power  # noqa: E402
 from conftest import bubble_params  # noqa: E402
 from oracles import ldl_by_rows, residual_sum_of_squares, svd_least_squares  # noqa: E402
@@ -38,8 +38,8 @@ ROW = st.tuples(
 
 
 def _kernel(t, y, points, refine=True):
-    """_profile of rows that all belong to the window (t, y)."""
-    return _profile([(t, y)], points, [(0, 0, len(points))], refine=refine)
+    """The kernel on rows that all belong to the window (t, y)."""
+    return _Layout([(t, y)], [(0, 0, len(points))]).profile(points, refine)
 
 
 def _batch(w, rows):
@@ -112,6 +112,20 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
         assert np.max(np.abs(beta[k] - want) / np.maximum(np.abs(want), 1e-10)) <= 1e-8
         for b in (beta[k], raw_beta[k]):
             assert sse[k] == pytest.approx(residual_sum_of_squares(t, y, *points[k], *b), rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("omega", [0.0, 8.0])
+def test_rows_with_tc_at_or_before_the_window_end_are_rejected(m, omega):
+    # ln(tc - t) is -inf or nan at the window end, so the half-angle tangent and
+    # with it g and h are nan there: the factor's finiteness test rejects the row
+    w = Window(200, 260)
+    t, y = _window_arrays(NOISY, w)
+    end = float(w.t2)
+    points = np.array([[end, m, omega], [np.nextafter(end, 0.0), m, omega], [end + 5.0, 0.5, 8.0]])
+    _, sse, ok = _kernel(t, y, points)
+    assert ok.tolist() == [False, False, True]
+    assert sse[:2].tolist() == [np.inf, np.inf]
 
 
 # Kinds of 4x4 normal matrices X X^T: full rank; rank 2 (singular); two
@@ -216,7 +230,7 @@ def test_kernel_rows_of_a_flat_layout_equal_their_window_alone(windows):
     # windows before them; no row's bits may depend on where they land
     arrays, points, parts = _layout(windows)
     for refine in (True, False):
-        beta, sse, ok = _profile(arrays, points, parts, refine=refine)
+        beta, sse, ok = _Layout(arrays, parts).profile(points, refine)
         for p, lo, hi in parts:
             alone = _kernel(*arrays[p], points[lo:hi], refine=refine)
             assert np.array_equal(beta[lo:hi], alone[0], equal_nan=True)
@@ -240,7 +254,7 @@ def test_objective_work_array_never_leaks_between_layouts(windows):
         for floor, func in zip(floors, objectives):
             fresh = _objective(arrays, SearchConfig(damping_floor=floor))(rows, layout)
             assert np.array_equal(func(rows, layout), fresh)
-        assert np.array_equal(objectives[0](rows, layout), _profile(arrays, rows, layout)[1])
+        assert np.array_equal(objectives[0](rows, layout), _Layout(arrays, layout).profile(rows)[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,7 +286,7 @@ def test_rows_the_search_admits_are_rows_the_result_can_solve(t1s, length, rows,
     parts = [(0, 0, split), (1, split, len(rows))]
     arrays = [_window_arrays(NOISY, w) for w in windows]
     values = _objective(arrays, SearchConfig())(points, parts)
-    ok = _profile(arrays, points, parts)[2]
+    ok = _Layout(arrays, parts).profile(points)[2]
     for p, lo, hi in parts:
         for k in range(lo, hi):
             if not ok[k]:
@@ -319,7 +333,6 @@ def test_scan_does_not_depend_on_worker_count(first, base_seed):
 @given(t2=st.integers(min_value=59, max_value=398), base_seed=st.integers(0, 2**32 - 1))
 def test_indicator_is_unchanged_by_truncation_after_t2(t2, base_seed):
     def at(series):
-        return confidence_at(series, t2, TINY_SCHEME, TINY_SEARCH, base_seed=base_seed,
-                             keep_diagnostics=True)
+        return confidence_at(series, t2, TINY_SCHEME, TINY_SEARCH, base_seed=base_seed)
 
     assert at(NOISY.truncate(t2)) == at(NOISY)

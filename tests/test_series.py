@@ -223,3 +223,13 @@ def test_truncate():
         s.truncate(0)
     with pytest.raises(ValidationError):
         s.truncate(3)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda s: s.truncate(1.7), "last_index"),
+    (lambda s: s.date_of(1.9), "index"),
+], ids=["truncate", "date_of"])
+def test_series_indices_must_be_integers(call, name):
+    # truncate(1.7) kept 2 points and date_of(1.9) returned index 1's date
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        call(ingest(CSV3))

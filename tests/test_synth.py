@@ -72,6 +72,14 @@ def test_spec_validation():
         SynthSpec(params=p, n=300)  # t_end = 299 >= tc = 220
 
 
+@pytest.mark.parametrize("name, value", [("n", 10.5), ("seed", 1.5)])
+def test_spec_counts_must_be_integers(name, value):
+    # both were accepted, and generate then died on a bare numpy TypeError
+    spec = {"params": bubble_params(220.0, 0.5, 10.0), "n": 10, "noise_sigma": 0.01, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        SynthSpec(**spec)
+
+
 def test_generate_fit_round_trip():
     params = bubble_params(180.0, 0.6, 9.0)
     s = generate(SynthSpec(params=params, n=160, noise_sigma=0.0))

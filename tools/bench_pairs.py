@@ -16,8 +16,10 @@ For each workload and metric the report prints each side's median and
 quartiles (inclusive method) over the pairs, the ratio of the medians,
 the number of pairs b wins (a strictly better value, in the direction the
 metric's `better` field in b's `BENCHMARK.json` gives, lower when it gives
-none), and whether b's median beats a's by more than a's interquartile
-range. The runs and the summary are written as JSON to --output (default
+none), whether b's median beats a's by more than a's interquartile range,
+and the median and quartiles of the per-pair ratios b/a. The two runs of
+a pair follow each other, so a drift of the host over the session moves
+both alike: it widens each side's spread but hardly the ratios'. The runs and the summary are written as JSON to --output (default
 BENCH_<label of a>.json in the current directory). A checkout's label
 defaults to its short commit when it is the top of a git checkout, else
 to its directory name. Exit status 0 whether or not b is better; 1 when a
@@ -68,7 +70,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], lower_is_better: dict) -> dict:
-    """Per workload and metric: each side's spread, the median ratio, b's wins and the IQR test."""
+    """Per workload and metric: each side's spread, the median ratio, b's wins, the IQR test
+    and the spread of the per-pair ratios b/a (None when a value of a is 0)."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         # runs are sorted by seed, so the i-th run of each side is pair i's
@@ -86,6 +89,7 @@ def summarize(runs: list[dict], lower_is_better: dict) -> dict:
                 "better": "lower" if lower else "higher", "a": sa, "b": sb,
                 "ratio": sb["median"] / sa["median"] if sa["median"] else None,
                 "wins": wins, "pairs": len(pairs), "gap_beyond_a_iqr": gap > sa["q3"] - sa["q1"],
+                "pair_ratio": spread([y / x for x, y in zip(va, vb)]) if all(va) else None,
             }
         out[workload] = metrics
     return out
@@ -98,11 +102,14 @@ def report(summary: dict) -> list[str]:
         for name, m in metrics.items():
             a, b = m["a"], m["b"]
             ratio = f"{m['ratio']:.3f}x" if m["ratio"] is not None else "-"
+            paired = m["pair_ratio"]
+            paired = (f"  pairs b/a {paired['median']:.3f} [{paired['q1']:.3f}, {paired['q3']:.3f}]"
+                      if paired else "")
             lines.append(
                 f"  {name:<12} a {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}]  "
                 f"b {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  {ratio}  "
                 f"b wins {m['wins']}/{m['pairs']} ({m['better']} is better)"
-                f"{'  beyond a IQR' if m['gap_beyond_a_iqr'] else ''}")
+                f"{'  beyond a IQR' if m['gap_beyond_a_iqr'] else ''}{paired}")
     return lines
 
 

@@ -22,8 +22,9 @@ the runs nor that of the imports favours a side. The measures:
 - `kernel_us.n340.K7` and `.K19`: one call of the search's objective on K
   rows of one 340-point window, in µs, the median of R calls;
 - `cmaes_us_per_gen`: a five-restart search of a 3-dimensional sphere with
-  an objective that costs next to nothing, in µs per generation, the
-  median of 5 searches.
+  an objective that costs next to nothing and rejects (+inf) the points
+  with x0 > 0.8, so that generations holding a rejected row are timed
+  too, in µs per generation, the median of 5 searches.
 
 Series seed K + i feeds pair i's fits, and the kernel rows are drawn from
 it. The series come from `perfbench/inputs.py`, which does not use the
@@ -110,7 +111,7 @@ def kernel_unit(lp, series, rows: int, seed: int):
 
 
 def cmaes_unit(lp, seed: int):
-    """A five-restart sphere search whose objective costs next to nothing; returns its generations."""
+    """A five-restart search of a sphere rejected where x0 > 0.8; returns its generations and result."""
     def run():
         calls = 0
 
@@ -118,7 +119,7 @@ def cmaes_unit(lp, seed: int):
             nonlocal calls
             calls += 1
             d = points - 0.3
-            return (d * d).sum(axis=1)
+            return np.where(points[:, 0] > 0.8, np.inf, (d * d).sum(axis=1))
 
         found = lp.cmaes.minimize_problems(func, [np.zeros(3)], [np.ones(3)], popsize=7,
                                            max_evals=2000, restarts=5,
