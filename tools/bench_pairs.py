@@ -18,7 +18,7 @@ the number of pairs b wins (a strictly better value, in the direction the
 metric's `better` field in b's `BENCHMARK.json` gives, lower when it gives
 none), whether b's median beats a's by more than a's interquartile range,
 and the median and quartiles of the per-pair ratios b/a. The two runs of
-a pair follow each other, so a drift of the host over the session moves
+a pair follow each other, so a drift of the host over the run moves
 both alike: it widens each side's spread but hardly the ratios'. The runs and the summary are written as JSON to --output (default
 BENCH_<label of a>.json in the current directory). A checkout's label
 defaults to its short commit when it is the top of a git checkout, else
