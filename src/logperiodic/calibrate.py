@@ -119,20 +119,6 @@ def _window_arrays(series: PriceSeries, window: Window) -> tuple[np.ndarray, np.
 _COND_CAP = 1e12
 
 
-def _scratch(size: int) -> np.ndarray:
-    """Work array of _Layout.profile for calls of up to `size` points, summed over their rows.
-
-    A call lays every row of every window one after another along the
-    (7, size) array, each row's n points contiguous: rows 0-3 hold the
-    design [1, f, g, h], rows 4-6 ln(tc - t), the half-angle tangent u and
-    the scale f / (1 + u^2), and row 4 then the fitted values. Row 0 is
-    filled with ones here, once; profile never writes it.
-    """
-    work = np.empty((7, size))
-    work[0] = 1.0
-    return work
-
-
 def _ldl(a) -> np.ndarray:
     """LDL^T factor, in place, of each symmetric 4x4 matrix a[:, :, k] of the (4, 4, K) array a.
 
@@ -154,12 +140,10 @@ def _ldl(a) -> np.ndarray:
     batch nor on whether the factor runs by rows or by columns.
     """
     ok = np.isfinite(a[1:]).all(axis=(0, 1))
-    for k in range(2):
+    for k in range(3):
         np.divide(a[k + 1 :, k], a[k, k], a[k, k + 1 :])
         trailing = a[k + 1 :, k + 1 :]
         np.subtract(trailing, a[k, k + 1 :, None] * a[k + 1 :, k], trailing)
-    np.divide(a[3, 2], a[2, 2], a[2, 3])
-    np.subtract(a[3, 3], a[2, 3] * a[3, 2], a[3, 3])
     d = a.diagonal().T
     # smallest > largest / cap also says smallest > 0: a largest pivot below 0
     # fails it, and nan pivots fail every comparison
@@ -196,15 +180,17 @@ class _Layout:
     """Where profile puts the rows of one `parts` list, kept while that list holds.
 
     `parts` lists (p, lo, hi) in row order: rows lo:hi of a call are
-    window p's, whose (t, y) is arrays[p]. Every row of every window gets
-    its n points of one flat work array (see _scratch) after the rows
-    before it. The layout holds each window's (k, 7, n) view of that array,
-    work rows as second axis, and the views of it, of the normal matrices
-    and of the right-hand sides that each pass of a call writes or reads,
-    together with the corner of each row's normal matrix, its point count
-    n. `work` reuses a previous layout's array when it is large enough, so
-    one kept array serves every call of a search; every element a call
-    reads is written first.
+    window p's, whose (t, y) is arrays[p]. Each row of each window takes n
+    contiguous points of the (7, size) array `work`, after the rows before
+    it. Its work rows 0-3 hold the design [1, f, g, h], row 0 ones from the
+    array's making on (profile never writes it), rows 4-6 ln(tc - t), the
+    half-angle tangent u and the scale f / (1 + u^2), and row 4 then the
+    fitted values. The layout holds each window's (k, 7, n) view of `work`
+    and the views of it, of the normal matrices and of the right-hand sides
+    that each pass of a call writes or reads, and the corner of each row's
+    normal matrix, its point count n. `work` reuses a previous layout's
+    array when it is large enough, so one kept array serves every call of
+    a search; every element a call reads is written first.
     """
 
     def __init__(self, arrays, parts, work=None):
@@ -213,8 +199,9 @@ class _Layout:
         lengths = [arrays[p][0].size for p, _, _ in self.parts]
         size = sum(k * n for k, n in zip(counts, lengths))
         if work is None or work.shape[1] < size:
-            work = _scratch(size)
-        self.scratch = work
+            work = np.empty((7, size))
+            work[0] = 1.0
+        self.work = work
         self.work_rows = tuple(work[:, :size])  # 1, f, g, h, ln(tc - t), u, scale
         rows = sum(counts)
         self.gram = np.empty((rows, 3, 4))  # rows 1-3 of each normal matrix
@@ -238,22 +225,21 @@ class _Layout:
                                    ldt[..., None], self.rhs[lo:hi, :, None]))
             start += k * n
 
-    def profile(self, points, refine: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def profile(self, points, refine: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
 
         `points` is a (K, 3) float array laid out by the layout's parts: rows
         points[lo:hi] belong to the window whose (t, y) is arrays[p]. For each
         row the design matrix is [1, f, g, h] with f=(tc-t)^m,
         g=f*cos(w ln(tc-t)), h=f*sin(w ln(tc-t)), and the result is
-        (beta, sse, ok): the (K, 4) least-squares (A, B, C1, C2)
-        from the normal system, the (K,) residual sums of squares, and the
-        (K,) admissible mask. A row is admissible when its normal matrix is
-        finite and the LDL^T pivots of that matrix are positive with a ratio
-        max/min of at most _COND_CAP. A row whose tc is at or before its
-        window's end is never admissible: ln(tc-t) is -inf or nan at the end,
-        so the half-angle tangent there, and with it g and h, is nan.
-        Rejected rows have sse = +inf and an undefined beta; they never
-        change the other rows.
+        (beta, sse): the (K, 4) least-squares (A, B, C1, C2) from the normal
+        system and the (K,) residual sums of squares. A row is admissible
+        when its normal matrix is finite and the LDL^T pivots of that matrix
+        are positive with a ratio max/min of at most _COND_CAP. A row whose
+        tc is at or before its window's end is never admissible: ln(tc-t) is
+        -inf or nan at the end, so the half-angle tangent there, and with it
+        g and h, is nan. A rejected row has sse = +inf, the one mark of a
+        rejection, and an undefined beta; it never changes the other rows.
 
         All rows of all windows share one flat work array (see the class): only
         tc - t, m ln(tc-t) and w ln(tc-t)/2 read a row's own parameters and
@@ -312,15 +298,15 @@ class _Layout:
                 # seminormal equations): the normal-equation solve alone errs by
                 # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
                 beta += _ldl_solve(a, self.rhs)
-        return beta, np.where(ok, self.sse, np.inf), ok
+        return beta, np.where(ok, self.sse, np.inf)
 
 
 def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse, ok = _Layout([(t, y)], [(0, 0, 1)]).profile(np.array([[tc, m, omega]], dtype=float))
-    if not ok[0]:
+    beta, sse = _Layout([(t, y)], [(0, 0, 1)]).profile(np.array([[tc, m, omega]], dtype=float))
+    if not math.isfinite(sse[0]):
         raise DegenerateBasisError(
             f"normal matrix not finite or pivot ratio above {_COND_CAP:g} "
             f"at tc={tc}, m={m}, omega={omega}"
@@ -364,8 +350,8 @@ def _objective(arrays, cfg: SearchConfig):
     def func(points, parts):
         nonlocal layout
         if layout is None or parts != layout.parts:
-            layout = _Layout(arrays, parts, None if layout is None else layout.scratch)
-        beta, sse, _ = layout.profile(points, refine=False)
+            layout = _Layout(arrays, parts, None if layout is None else layout.work)
+        beta, sse = layout.profile(points, refine=False)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

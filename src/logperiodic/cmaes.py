@@ -57,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError, integer
+
 __all__ = ["CmaResult", "minimize_box", "minimize_problems"]
 
 # Penalty weight on squared normalized box violation; only has to dominate
@@ -120,15 +122,20 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     run leaves the batch. Under these two rules the generation at which a
     trailing run stops depends on the other runs of its problem, so adding
     restarts can end a run earlier; the leading run of each problem always
-    finishes, and with restarts = 1 neither rule fires.
+    finishes, and with restarts = 1 neither rule fires. popsize, max_evals
+    and restarts are integers of at least 2, 1 and 1; ValidationError
+    otherwise.
     """
-    per_problem = max(1, restarts)
-    # Runs along a leading axis, grouped by problem: run i belongs to problem i // per_problem.
-    lower = np.repeat(np.asarray(lowers, dtype=float), per_problem, axis=0)
+    for name, value, least in (("popsize", popsize, 2), ("max_evals", max_evals, 1),
+                               ("restarts", restarts, 1)):
+        if integer(name, value) < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
+    # Runs along a leading axis, grouped by problem: run i belongs to problem i // restarts.
+    lower = np.repeat(np.asarray(lowers, dtype=float), restarts, axis=0)
     width = np.repeat(np.asarray(uppers, dtype=float) - np.asarray(lowers, dtype=float),
-                      per_problem, axis=0)
+                      restarts, axis=0)
     runs, n = lower.shape
-    rngs = [g for rng in rngs for g in (rng, *rng.spawn(per_problem - 1))]
+    rngs = [g for rng in rngs for g in (rng, *rng.spawn(restarts - 1))]
 
     lam = popsize
     mu = lam // 2
@@ -147,7 +154,7 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
 
     # Per-run state along the run axis, kept for the runs still going only
     # (`ids` names them); best_f and best_x, below, keep every run's.
-    mean = np.array([np.full(n, 0.5) if i % per_problem == 0 else r.uniform(0.0, 1.0, n)
+    mean = np.array([np.full(n, 0.5) if i % restarts == 0 else r.uniform(0.0, 1.0, n)
                      for i, r in enumerate(rngs)])
     sigma = np.full(runs, sigma0)
     cov = np.tile(np.eye(n), (runs, 1, 1))
@@ -160,25 +167,24 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     recent_best = np.empty((runs, history))
     # best_f after each of the last `history` generations: generation g's sits in slot g % history
     past_best = np.empty((runs, history))
-    firsts = np.arange(0, runs, per_problem)  # each problem's first run
+    firsts = np.arange(0, runs, restarts)  # each problem's first run
     ids = np.arange(runs)
 
-    def layout(ids):
-        """The problem of each of the runs `ids`, func's parts for them, and their row index."""
-        owner = ids // per_problem
+    def layout(ids, per_run):
+        """The problem of each of the runs `ids`, func's parts at per_run rows a run, and their index."""
+        owner = ids // restarts
         starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-        parts = [(int(owner[lo]), lo * lam, hi * lam)
+        parts = [(int(owner[lo]), lo * per_run, hi * per_run)
                  for lo, hi in zip(starts, [*starts[1:], ids.size])]
         return owner, parts, np.arange(ids.size)
 
-    # the start points: one row per run
-    best_x = np.minimum(np.maximum(mean, 0.0), 1.0)
+    # the start points, one row per run, all inside the box
+    best_x = mean.copy()
     # nan reads as +inf from here on: a nan best would never be beaten
-    best_f = np.fmin(func(lower + best_x * width, [(p, p * per_problem, (p + 1) * per_problem)
-                                                   for p in range(len(firsts))]), np.inf)
+    best_f = np.fmin(func(lower + best_x * width, layout(ids, 1)[1]), np.inf)
     past_best[:, 0] = best_f
     run_lower, run_width = lower[:, None, :], width[:, None, :]  # of the running runs
-    owner, parts, rows = layout(ids)
+    owner, parts, rows = layout(ids, lam)
     used = np.ones(runs, dtype=int)
     evals = 1  # per running run: they all started together
     gen = 0
@@ -257,15 +263,15 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
         # best, and nan fails every comparison: it neither converges nor stalls
         with np.errstate(invalid="ignore"):
             if gen >= history:
-                # TolFun looks at the ranked values, box penalty included: the
-                # range of a run with a rejected value among them is inf or nan
+                # TolFun looks at the ranked values, box penalty included (the ring
+                # holds this generation's least): a range that holds a rejected
+                # value is inf or nan
                 top = np.maximum(fitness.max(axis=1), recent_best.max(axis=1))
-                bottom = np.minimum(fitness.min(axis=1), recent_best.min(axis=1))
-                stop |= top - bottom < _TOL_FUN
+                stop |= top - recent_best.min(axis=1) < _TOL_FUN
             if not settled:
                 # the rules between runs: each running run's leader is the run of its
                 # problem, running or stopped, with the least best value (the first such)
-                lead = (firsts + best_f.reshape(-1, per_problem).argmin(axis=1))[owner]
+                lead = (firsts + best_f.reshape(-1, restarts).argmin(axis=1))[owner]
                 leader = best_f[lead]
                 trailing = leader < now
                 # catch-up: behind the leader, the best of a TolFun history ago did
@@ -283,21 +289,19 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
             used[ids[stop]] = evals
             keep = ~stop
             ids = ids[keep]
-            owner, parts, rows = layout(ids)
-            if not settled:
-                trailing = trailing[keep]
+            owner, parts, rows = layout(ids, lam)
             (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, recent_best, past_best,
              run_lower, run_width) = (
                 a[keep] for a in (mean, sigma, cov, p_sigma, p_c, eigvals, eigvecs, recent_best,
                                   past_best, run_lower, run_width))
         # every problem down to one running run that does not trail: it never
         # will (see the module docstring)
-        settled = settled or (len(parts) == ids.size and not trailing.any())
+        settled = settled or (len(parts) == ids.size and not (trailing & ~stop).any())
 
     used[ids] = evals
     results = []
     for first in firsts.tolist():
-        own = slice(first, first + per_problem)
+        own = slice(first, first + restarts)
         best = first + int(np.argmin(best_f[own]))
         results.append(CmaResult(x=lower[best] + best_x[best] * width[best],
                                  cost=float(best_f[best]), evaluations=int(used[own].sum())))

@@ -118,7 +118,11 @@ def windows_for(t2: int, scheme: WindowScheme = WindowScheme()) -> list[Window]:
 
 def window_seed(base_seed: int, t2: int, length: int) -> int:
     """Stable per-window seed; identical across runs, platforms and workers."""
-    entropy = [integer("base_seed", base_seed), integer("t2", t2), integer("length", length)]
+    entropy = []
+    for name, value in (("base_seed", base_seed), ("t2", t2), ("length", length)):
+        entropy.append(integer(name, value))
+        if entropy[-1] < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
     ss = np.random.SeedSequence(entropy=entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -84,7 +84,12 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class QualificationReport:
-    """Per-condition outcomes plus the metrics behind them."""
+    """Per-condition outcomes plus the metrics behind them.
+
+    A metric that was not computed is None, so equal reports compare equal:
+    oscillation_count when tc does not exceed the window end, ar1_coefficient
+    then too, and for a window under 12 points or when ar1_test gives nan.
+    """
 
     m_in_range: bool
     omega_in_range: bool
@@ -93,10 +98,10 @@ class QualificationReport:
     rel_error_ok: bool
     lomb_ok: bool
     ou_ok: bool
-    oscillation_count: float
+    oscillation_count: float | None
     max_relative_error: float
     lomb_false_alarm: float
-    ar1_coefficient: float
+    ar1_coefficient: float | None
     qualified: bool
     sign: BubbleSign
 
@@ -296,7 +301,7 @@ def qualify(
     p = fit.params
     tc_hi = window.t2 + cfg.tc_extension * (window.t2 - window.t1)
 
-    osc = float("nan")
+    osc = None
     rel_err = float("inf")
     lomb = LombResult(0.0, 1.0, False, float("nan"))
     ou = OuResult(float("nan"), False, float("nan"), 1.0)
@@ -313,7 +318,7 @@ def qualify(
         "m_in_range": cfg.m_min <= p.m <= cfg.m_max,
         "omega_in_range": cfg.omega_min <= p.omega <= cfg.omega_max,
         "tc_in_range": window.t2 <= p.tc <= tc_hi,
-        "oscillations_ok": math.isfinite(osc) and osc >= cfg.oscillation_threshold,
+        "oscillations_ok": osc is not None and osc >= cfg.oscillation_threshold,
         "rel_error_ok": rel_err <= cfg.max_rel_error,
         "lomb_ok": lomb.passed,
         "ou_ok": ou.passed,
@@ -331,7 +336,7 @@ def qualify(
         oscillation_count=osc,
         max_relative_error=rel_err,
         lomb_false_alarm=lomb.false_alarm_probability,
-        ar1_coefficient=ou.ar1_coefficient,
+        ar1_coefficient=None if math.isnan(ou.ar1_coefficient) else ou.ar1_coefficient,
         qualified=all(checks.values()),
         sign=sign,
     )

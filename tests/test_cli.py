@@ -718,7 +718,7 @@ def test_outputs_are_strict_json(bubble_csv, tmp_path, capsys):
         assert main(argv) == 0
         records[name] = _strict_json(capsys.readouterr().out)
     fit_record = records["fit"]
-    assert fit_record["qualification"]["ar1_coefficient"] == "nan"  # under 12 points: no AR(1) test
+    assert fit_record["qualification"]["ar1_coefficient"] is None  # under 12 points: no AR(1) test
     assert fit_record["config"]["max_rel_error"] == records["scan"]["config"]["max_rel_error"] == "inf"
     assert records["classify"]["crash_type"] == "Endogenous"
 

@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from logperiodic import SearchConfig, Window, fit
+from logperiodic import SearchConfig, ValidationError, Window, fit
 from logperiodic.cmaes import minimize_box, minimize_problems
 
 LO, HI = np.zeros(3), np.ones(3)
@@ -60,6 +61,26 @@ def test_all_inf_objective_spends_the_whole_budget():
                                 rngs=[np.random.default_rng(0)])[0]
         assert res.cost == math.inf
         assert res.evaluations == 2 * (1 + 7 * ((300 - 1) // 7))
+
+
+_SETTINGS = {"popsize": 7, "max_evals": 300, "restarts": 2}
+
+
+@pytest.mark.parametrize("name, bad, least", [
+    ("popsize", 1, 2), ("max_evals", 0, 1), ("restarts", 0, 1), ("restarts", -3, 1),
+])
+def test_search_settings_below_their_least_are_rejected(name, bad, least):
+    # popsize 1 failed in eigh, restarts 0 and -3 ran one restart, max_evals 0 spent one
+    with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {bad}"):
+        minimize_box(_point, LO, HI, rng=np.random.default_rng(0), **{**_SETTINGS, name: bad})
+    # the least value runs clean: a RuntimeWarning fails the test
+    minimize_box(_point, LO, HI, rng=np.random.default_rng(0), **{**_SETTINGS, name: least})
+
+
+@pytest.mark.parametrize("name", sorted(_SETTINGS))
+def test_search_settings_must_be_integers(name):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got 2.5"):
+        minimize_box(_point, LO, HI, rng=np.random.default_rng(0), **{**_SETTINGS, name: 2.5})
 
 
 def _rejecting(value, centre):

@@ -97,6 +97,15 @@ def test_window_seed_arguments_must_be_integers(args, name):
         window_seed(*args)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((-1, 100, 60), "base_seed"), ((1, -100, 60), "t2"), ((1, 100, -60), "length"),
+])
+def test_window_seed_arguments_must_not_be_negative(args, name):
+    # numpy's SeedSequence raised a bare ValueError that named no argument
+    with pytest.raises(ValidationError, match=f"{name} must be >= 0, got -"):
+        window_seed(*args)
+
+
 @pytest.fixture(scope="module")
 def bubble_series():
     params = bubble_params(430.0, 0.5, 8.0, B=-0.8)
@@ -136,6 +145,32 @@ def test_confidence_at_parallel_equals_serial(bubble_series):
         bubble_series, 419, SMALL_SCHEME, FAST_SEARCH, base_seed=42, workers=2
     )
     assert serial == parallel
+
+
+@pytest.fixture(scope="module")
+def short_bubble():
+    """120 points of the bubble above, its tc moved to 10 steps past the end."""
+    params = bubble_params(130.0, 0.5, 8.0, B=-0.8)
+    return generate(SynthSpec(params=params, n=120, noise_sigma=0.004, seed=11, noise_phi=0.4))
+
+
+def test_metrics_not_computed_keep_equal_points_equal(short_bubble):
+    # windows under 12 points get no AR(1) coefficient; a nan there made every
+    # point that held one unequal to itself
+    scheme, search = WindowScheme(11, 9, 1), SearchConfig(max_evaluations=200, restarts=1)
+    point = confidence_at(short_bubble, 119, scheme, search)
+    assert point == confidence_at(short_bubble, 119, scheme, search)
+    reports = [o.report for o in point.diagnostics if o.report is not None]
+    assert reports and all(r.ar1_coefficient is None for r in reports)
+
+
+def test_scan_with_short_windows_is_equal_on_the_pool(short_bubble):
+    # 32 windows make two chunks, so workers=2 runs them on the pool; the
+    # windows under 12 points come back from it with no AR(1) coefficient
+    scheme, search = WindowScheme(40, 9, 1), SearchConfig(max_evaluations=200, restarts=1)
+    runs = [scan(short_bubble, 119, 119, 1, scheme, search, workers=workers) for workers in (1, 2)]
+    assert len(runs[0][0].diagnostics) == 32
+    assert runs[0] == runs[1]
 
 
 def test_failed_fits_count_as_unqualified_and_keep_the_denominator(bubble_series):

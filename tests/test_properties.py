@@ -38,8 +38,9 @@ ROW = st.tuples(
 
 
 def _kernel(t, y, points, refine=True):
-    """The kernel on rows that all belong to the window (t, y)."""
-    return _Layout([(t, y)], [(0, 0, len(points))]).profile(points, refine)
+    """The kernel on rows that all belong to the window (t, y), and its admissible mask."""
+    beta, sse = _Layout([(t, y)], [(0, 0, len(points))]).profile(points, refine)
+    return beta, sse, np.isfinite(sse)
 
 
 def _batch(w, rows):
@@ -230,7 +231,8 @@ def test_kernel_rows_of_a_flat_layout_equal_their_window_alone(windows):
     # windows before them; no row's bits may depend on where they land
     arrays, points, parts = _layout(windows)
     for refine in (True, False):
-        beta, sse, ok = _Layout(arrays, parts).profile(points, refine)
+        beta, sse = _Layout(arrays, parts).profile(points, refine)
+        ok = np.isfinite(sse)
         for p, lo, hi in parts:
             alone = _kernel(*arrays[p], points[lo:hi], refine=refine)
             assert np.array_equal(beta[lo:hi], alone[0], equal_nan=True)
@@ -286,7 +288,7 @@ def test_rows_the_search_admits_are_rows_the_result_can_solve(t1s, length, rows,
     parts = [(0, 0, split), (1, split, len(rows))]
     arrays = [_window_arrays(NOISY, w) for w in windows]
     values = _objective(arrays, SearchConfig())(points, parts)
-    ok = _Layout(arrays, parts).profile(points)[2]
+    ok = np.isfinite(_Layout(arrays, parts).profile(points)[1])
     for p, lo, hi in parts:
         for k in range(lo, hi):
             if not ok[k]:

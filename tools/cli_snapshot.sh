@@ -55,7 +55,7 @@ run fit_defaults fit --input bubble.csv --t1 320 --t2 419 --output fit_defaults.
 run fit_config fit --input bubble.csv --t1 320 --t2 419 --config fit.cfg --output fit_config.json
 run fit_long fit --input bubble.csv --t1 120 --t2 419 --seed 3 --output fit_long.json
 run fit_outside fit --input bubble.csv --t1 0 --t2 9999 --seed 1
-# a window under 12 points gets no AR(1) test (its coefficient is NaN), an
+# a window under 12 points gets no AR(1) test (its coefficient is null), an
 # infinite filter bound lands in the embedded config, and a config file may
 # set only the subcommand's own settings (resample has no threshold), each once
 run fit_short_window fit --input bubble.csv --t1 0 --t2 9 --seed 1

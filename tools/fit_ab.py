@@ -29,8 +29,9 @@ the runs nor that of the imports favours a side. The measures:
 Series seed K + i feeds pair i's fits, and the kernel rows are drawn from
 it. The series come from `perfbench/inputs.py`, which does not use the
 library, read back through each tree's `ingest`. The report gives, per
-measure, each side's median, the median over pairs of the ratio b/a and the
-number of pairs b wins (a strictly lower value). The two trees must
+measure, each side's median, the median and quartiles over pairs of the
+ratio b/a (as `tools/bench_pairs.py` summarizes its pairs) and the number
+of pairs b wins (a strictly lower value). The two trees must
 compute the same thing: the tool exits 1 when their fits' costs or
 evaluations, their objective values or their searches differ; 0
 otherwise, 2 on bad arguments.
@@ -46,6 +47,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import spread
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -198,14 +201,15 @@ def main(argv) -> int:
               + " ".join(f"{k} {values['b'][k] / values['a'][k]:.3f}" for k in values["a"]),
               file=sys.stderr, flush=True)
 
-    print(f"{'measure':<20} {'a median':>10} {'b median':>10} {'b/a (paired)':>13} {'b wins':>7}")
+    print(f"{'measure':<20} {'a median':>10} {'b median':>10} {'b/a (paired) [q1, q3]':>22} "
+          f"{'b wins':>7}")
     for name in readings["a"][0]:
         va = [r[name] for r in readings["a"]]
         vb = [r[name] for r in readings["b"]]
-        ratio = statistics.median(y / x for x, y in zip(va, vb))
+        ratio = spread([y / x for x, y in zip(va, vb)])
         wins = sum(y < x for x, y in zip(va, vb))
         print(f"{name:<20} {statistics.median(va):>10.4g} {statistics.median(vb):>10.4g} "
-              f"{ratio:>13.3f} {wins:>4}/{args.pairs}")
+              f"{ratio['median']:>7.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}] {wins:>4}/{args.pairs}")
     return 0
 
 
