@@ -185,12 +185,13 @@ class _Layout:
     it. Its work rows 0-3 hold the design [1, f, g, h], row 0 ones from the
     array's making on (profile never writes it), rows 4-6 ln(tc - t), the
     half-angle tangent u and the scale f / (1 + u^2), and row 4 then the
-    fitted values. The layout holds each window's (k, 7, n) view of `work`
-    and the views of it, of the normal matrices and of the right-hand sides
-    that each pass of a call writes or reads, and the corner of each row's
-    normal matrix, its point count n. `work` reuses a previous layout's
-    array when it is large enough, so one kept array serves every call of
-    a search; every element a call reads is written first.
+    fitted values and, when profile returns, the residuals. The layout
+    holds each window's (k, 7, n) view of `work` and the views of it, of
+    the normal matrices and of the right-hand sides that each pass of a
+    call writes or reads, and the corner of each row's normal matrix, its
+    point count n. `work` reuses a previous layout's array when it is
+    large enough, so one kept array serves every call of a search; every
+    element a call reads is written first.
     """
 
     def __init__(self, arrays, parts, work=None):
@@ -221,11 +222,10 @@ class _Layout:
             self.normals.append((xk[:, 1:], xk.transpose(0, 2, 1), self.gram[lo:hi],
                                  xk, y, self.rhs[lo:hi]))
             # row 4 is free for the fitted values once the design is built
-            self.residuals.append((lo, hi, xk, ldt[:, None, :], y, ldt, self.sse[lo:hi],
-                                   ldt[..., None], self.rhs[lo:hi, :, None]))
+            self.residuals.append((lo, hi, xk, ldt[:, None, :], y, ldt, self.sse[lo:hi]))
             start += k * n
 
-    def profile(self, points, refine: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def profile(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Profiled least squares for a batch of (tc, m, omega) rows of several windows.
 
         `points` is a (K, 3) float array laid out by the layout's parts: rows
@@ -247,11 +247,10 @@ class _Layout:
         call over the whole array. Each window's normal matrices, right-hand
         sides and residuals are gemms on a (k, 4, n) view of it; one batched
         LDL^T (_ldl) then factors, checks and solves the normal systems of all
-        K rows. With `refine`, beta takes one refinement step against the
-        residual, under the same factor. The sse is taken before it either way:
-        it is the minimum of a quadratic, so beta's error moves it only at
-        second order, and the search's objective, which needs no more than the
-        sse and the damping ratio, skips the step.
+        K rows. The sse is the minimum of a quadratic, so the solve's error in
+        beta moves it only at second order; the search's objective needs no
+        more than the sse and the damping ratio, and _profile_one improves
+        beta itself.
         """
         tc, m, omega = points.T
         _, f, g, h, ldt, u, scale = self.work_rows
@@ -287,17 +286,10 @@ class _Layout:
             a[1:] = self.gram.transpose(1, 2, 0)
             ok = _ldl(a)
             beta = _ldl_solve(a, self.rhs)
-            for lo, hi, xk, fit_out, y, fit, sse, resid_col, rhs_col in self.residuals:
+            for lo, hi, xk, fit_out, y, fit, sse in self.residuals:
                 np.matmul(beta[lo:hi, None, :], xk, out=fit_out)
                 resid = np.subtract(y, fit, out=fit)
                 np.einsum("kn,kn->k", resid, resid, out=sse)
-                if refine:
-                    np.matmul(xk, resid_col, out=rhs_col)
-            if refine:
-                # One refinement step, beta += G^-1 X^T r (the corrected
-                # seminormal equations): the normal-equation solve alone errs by
-                # about cond(G) * eps, up to 1e-8 relative on ill-conditioned rows.
-                beta += _ldl_solve(a, self.rhs)
         return beta, np.where(ok, self.sse, np.inf)
 
 
@@ -305,12 +297,20 @@ def _profile_one(t, y, tc, m, omega) -> tuple[np.ndarray, float]:
     """(beta, sse) of one (tc, m, omega); raises instead of masking."""
     if tc - t[-1] <= 0.0:
         raise DomainError(f"tc={tc} does not exceed window end {t[-1]}")
-    beta, sse = _Layout([(t, y)], [(0, 0, 1)]).profile(np.array([[tc, m, omega]], dtype=float))
+    layout = _Layout([(t, y)], [(0, 0, 1)])
+    beta, sse = layout.profile(np.array([[tc, m, omega]], dtype=float))
     if not math.isfinite(sse[0]):
         raise DegenerateBasisError(
             f"normal matrix not finite or pivot ratio above {_COND_CAP:g} "
             f"at tc={tc}, m={m}, omega={omega}"
         )
+    # One refinement step, beta += G^-1 X^T r (the corrected seminormal
+    # equations), under the same factor and against the residual in work row 4:
+    # the normal-equation solve alone errs by about cond(G) * eps, up to 1e-8
+    # relative on ill-conditioned rows. The sse is kept from before the step.
+    _, _, xk, _, _, resid, _ = layout.residuals[0]
+    np.matmul(xk, resid[..., None], out=layout.rhs[:, :, None])
+    beta += _ldl_solve(layout.a, layout.rhs)
     return beta[0], float(sse[0])
 
 
@@ -351,7 +351,7 @@ def _objective(arrays, cfg: SearchConfig):
         nonlocal layout
         if layout is None or parts != layout.parts:
             layout = _Layout(arrays, parts, None if layout is None else layout.work)
-        beta, sse = layout.profile(points, refine=False)
+        beta, sse = layout.profile(points)
         if floor > 0.0:
             m, omega = points[:, 1], points[:, 2]
             # the undefined beta of rejected rows may overflow; their sse is inf

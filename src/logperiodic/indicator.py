@@ -223,7 +223,7 @@ def scan(
 ) -> list[IndicatorPoint]:
     """Indicator points for endpoints t2_first, t2_first+t2_step, ..., t2_last.
 
-    Endpoints without max_len points of history are skipped (and logged),
+    Endpoints without max_len points of history are skipped (and logged once),
     keeping every reported fraction on the same denominator. Window fits
     across the whole scan may run in parallel; results are ordered by t2
     and equal to a sequential run. Window seeds come from
@@ -240,10 +240,10 @@ def scan(
             f"scan end {t2_last} outside series of length {len(series)}"
         )
 
-    endpoints = []
-    for t2 in range(t2_first, t2_last + 1, t2_step):
-        if t2 < scheme.max_len - 1:
-            log.warning("skipping endpoint %d: fewer than %d points of history", t2, scheme.max_len)
-        else:
-            endpoints.append(t2)
-    return _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed, workers)
+    endpoints = range(t2_first, t2_last + 1, t2_step)
+    skipped = [t2 for t2 in endpoints if t2 < scheme.max_len - 1]
+    if skipped:
+        log.warning("skipping %d endpoints, %d to %d: fewer than %d points of history",
+                    len(skipped), skipped[0], skipped[-1], scheme.max_len)
+    return _points(series, endpoints[len(skipped) :], scheme, search_cfg, filter_cfg, base_seed,
+                   workers)

@@ -209,7 +209,10 @@ def test_scan_skips_short_history(bubble_series, caplog):
         pts = scan(bubble_series, 110, 125, 5, SMALL_SCHEME, FAST_SEARCH, base_seed=42)
     # max_len 120: endpoints 110 and 115 lack history, 120 and 125 are fine
     assert [p.t2 for p in pts] == [120, 125]
-    assert sum("skipping endpoint" in r.message for r in caplog.records) == 2
+    # one record for the scan, naming how many endpoints it skipped and which
+    (record,) = [r for r in caplog.records if "skipping" in r.message]
+    assert record.getMessage() == ("skipping 2 endpoints, 110 to 115: "
+                                   "fewer than 120 points of history")
 
 
 def test_scan_with_skipped_endpoints_matches_confidence_at(bubble_series):

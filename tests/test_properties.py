@@ -37,9 +37,9 @@ ROW = st.tuples(
 )
 
 
-def _kernel(t, y, points, refine=True):
+def _kernel(t, y, points):
     """The kernel on rows that all belong to the window (t, y), and its admissible mask."""
-    beta, sse = _Layout([(t, y)], [(0, 0, len(points))]).profile(points, refine)
+    beta, sse = _Layout([(t, y)], [(0, 0, len(points))]).profile(points)
     return beta, sse, np.isfinite(sse)
 
 
@@ -94,24 +94,22 @@ def test_kernel_batch_rows_equal_their_own_evaluation(t1, length, rows):
     t, y = _window_arrays(NOISY, w)
     points = _batch(w, rows)
     beta, sse, ok = _kernel(t, y, points)
-    # the search's objective reads the unrefined beta for its damping floor
-    raw_beta, raw_sse, raw_ok = _kernel(t, y, points, refine=False)
-    assert np.array_equal(raw_ok, ok) and np.array_equal(raw_sse, sse)
     for k, (kind, *_) in enumerate(rows):
         one_beta, one_sse, one_ok = _kernel(t, y, points[k : k + 1])
-        one_raw_beta = _kernel(t, y, points[k : k + 1], refine=False)[0]
         assert ok[k] == one_ok[0]
         if kind != "admissible":
             assert not ok[k]
         if not ok[k]:
             assert sse[k] == np.inf
             continue
+        # the search's objective reads this unrefined beta for its damping floor
         np.testing.assert_allclose(beta[k], one_beta[0], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(raw_beta[k], one_raw_beta[0], rtol=1e-12, atol=0.0)
         assert sse[k] == pytest.approx(one_sse[0], rel=1e-12, abs=0.0)
+        # linear_solve takes the refinement step on its one row
+        solved = np.array(linear_solve(NOISY, w, *points[k]))
         want = svd_least_squares(t, y, *points[k])
-        assert np.max(np.abs(beta[k] - want) / np.maximum(np.abs(want), 1e-10)) <= 1e-8
-        for b in (beta[k], raw_beta[k]):
+        assert np.max(np.abs(solved - want) / np.maximum(np.abs(want), 1e-10)) <= 1e-8
+        for b in (beta[k], solved):
             assert sse[k] == pytest.approx(residual_sum_of_squares(t, y, *points[k], *b), rel=1e-9)
 
 
@@ -230,14 +228,13 @@ def test_kernel_rows_of_a_flat_layout_equal_their_window_alone(windows):
     # every window's rows share one work array, placed after the rows of the
     # windows before them; no row's bits may depend on where they land
     arrays, points, parts = _layout(windows)
-    for refine in (True, False):
-        beta, sse = _Layout(arrays, parts).profile(points, refine)
-        ok = np.isfinite(sse)
-        for p, lo, hi in parts:
-            alone = _kernel(*arrays[p], points[lo:hi], refine=refine)
-            assert np.array_equal(beta[lo:hi], alone[0], equal_nan=True)
-            assert np.array_equal(sse[lo:hi], alone[1])
-            assert np.array_equal(ok[lo:hi], alone[2])
+    beta, sse = _Layout(arrays, parts).profile(points)
+    ok = np.isfinite(sse)
+    for p, lo, hi in parts:
+        alone = _kernel(*arrays[p], points[lo:hi])
+        assert np.array_equal(beta[lo:hi], alone[0], equal_nan=True)
+        assert np.array_equal(sse[lo:hi], alone[1])
+        assert np.array_equal(ok[lo:hi], alone[2])
 
 
 @settings(max_examples=20, deadline=None)

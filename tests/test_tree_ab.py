@@ -1,0 +1,109 @@
+"""The report and exit status of tools/tree_ab.py, on hand-built window records (no fits run)."""
+
+import copy
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import tree_ab  # noqa: E402
+
+
+def _endpoint(kind, seed, t2, windows, seconds=1.0):
+    """An endpoint record from (length, cost, evaluations, class) rows."""
+    return {"endpoint": [kind, seed, t2], "seconds": seconds,
+            "windows": [{"length": n, "cost": c, "evaluations": e, "class": k}
+                        for n, c, e, k in windows]}
+
+
+def _tree(seconds=1.0):
+    return [
+        _endpoint("bubble", 0, 659, [(650, 2.0, 3000, "positive-bubble"),
+                                     (588, 1.5, 2800, "unqualified")], seconds),
+        _endpoint("bubble", 1, 659, [(650, 2.5, 2600, "positive-bubble"),
+                                     (588, 1.25, 2400, "negative-bubble")], 2 * seconds),
+        _endpoint("null", 0, 659, [(650, 0.5, 2500, "unqualified"),
+                                   (619, 0.25, 2000, "unqualified")], seconds),
+    ]
+
+
+def test_identical_trees_report_equal_costs_and_exit_0():
+    a, b = _tree(), _tree(seconds=0.5)
+    lines = tree_ab.report(a, b)
+    assert "windows compared: 6" in lines
+    assert "qualification flips: 0" in lines
+    assert "endpoints with changed (pos, neg) counts: 0 of 3" in lines
+    assert "bit-equal costs: 6 of 6" in lines
+    assert "costs risen by more than 1e-9 relative: 0" in lines
+    # evaluations next to the group's seconds and its per-endpoint ratios b/a
+    assert "  bubble t2=659: 2700 -> 2700 (1.000x); 3.000 -> 1.500 s, 0.500 [0.500, 0.500]" in lines
+    # the seconds are timings, not results: they never change the exit status
+    assert tree_ab.exit_status(a, b, []) == 0
+
+
+def _moved(change):
+    b = _tree()
+    change(b)
+    return b
+
+
+@pytest.mark.parametrize("change, listed", [
+    (lambda b: b[0]["windows"][1].update({"class": "positive-bubble"}),
+     ["qualification flips: 1", "  ['bubble', 0, 659] n=588: unqualified -> positive-bubble",
+      "endpoints with changed (pos, neg) counts: 1 of 3", "  ['bubble', 0, 659]: (1, 0) -> (2, 0)"]),
+    (lambda b: b[1]["windows"][1].update({"class": "unqualified"}),
+     ["  ['bubble', 1, 659]: (1, 1) -> (1, 0)"]),
+    (lambda b: b[2]["windows"][1].update({"cost": 0.25 * (1 + 1e-6)}),
+     ["bit-equal costs: 5 of 6", "costs risen by more than 1e-9 relative: 1",
+      "  ['null', 0, 659] n=619: +1e-06",
+      "largest relative cost change: +1e-06 (['null', 0, 659] n=619)"]),
+    (lambda b: b[2]["windows"][0].update({"cost": float("inf"), "evaluations": None,
+                                          "class": "failed"}),
+     ["qualification flips: 1", "  ['null', 0, 659] n=650: unqualified -> failed",
+      "  null t2=659: 2250 -> 2000 (0.889x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]"]),
+])
+def test_moved_fits_are_listed_and_exit_1(change, listed):
+    a, b = _tree(), _moved(change)
+    lines = tree_ab.report(a, b)
+    for line in listed:
+        assert line in lines
+    assert tree_ab.exit_status(a, b, []) == 1
+
+
+def test_a_cost_change_below_the_bar_is_not_a_rise_but_still_exits_1():
+    a, b = _tree(), _moved(lambda b: b[0]["windows"][0].update({"cost": 2.0 * (1 + 1e-12)}))
+    lines = tree_ab.report(a, b)
+    assert "costs risen by more than 1e-9 relative: 0" in lines
+    assert "bit-equal costs: 5 of 6" in lines
+    assert tree_ab.exit_status(a, b, []) == 1
+
+
+def test_an_evaluation_count_change_alone_exits_1():
+    a, b = _tree(), _moved(lambda b: b[0]["windows"][0].update({"evaluations": 2999}))
+    assert "bit-equal costs: 6 of 6" in tree_ab.report(a, b)
+    assert tree_ab.exit_status(a, b, []) == 1
+
+
+@pytest.mark.parametrize("change", [
+    lambda b: b[2]["windows"].pop(),
+    lambda b: b[2]["endpoint"].__setitem__(1, 1),
+    lambda b: b.pop(),
+])
+def test_trees_that_fitted_different_windows(change):
+    a, b = _tree(), _moved(change)
+    assert tree_ab.report(a, b) == ["the two trees fitted different windows"]
+    assert tree_ab.exit_status(a, b, []) == 1
+
+
+def test_a_differing_measure_exits_1_and_is_listed():
+    a = _tree()
+    readings = {side: [{"sweep_s": 1.0, "cmaes_us_per_gen": 10.0},
+                       {"sweep_s": 2.0, "cmaes_us_per_gen": 20.0}] for side in "ab"}
+    readings["b"][1] = {"sweep_s": 1.0, "cmaes_us_per_gen": 20.0}
+    lines = tree_ab.timing_report(readings, [(2, "sweep_s")])
+    assert lines[1].split() == ["sweep_s", "1.5", "1", "0.750", "[0.625,", "0.875]", "1/2", "1/2"]
+    assert lines[2].split()[-2:] == ["0/2", "2/2"]
+    assert lines[-1] == "seed 2: sweep_s: the two trees' results differ"
+    assert tree_ab.exit_status(a, copy.deepcopy(a), [(2, "sweep_s")]) == 1
+    assert tree_ab.exit_status(a, copy.deepcopy(a), []) == 0
