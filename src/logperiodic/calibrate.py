@@ -40,9 +40,9 @@ class Window:
     t2: int
 
     def __post_init__(self):
-        for name in ("t1", "t2"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.t1 < 0 or self.t2 <= self.t1:
+        object.__setattr__(self, "t1", integer("t1", self.t1, 0))
+        object.__setattr__(self, "t2", integer("t2", self.t2))
+        if self.t2 <= self.t1:
             raise ValidationError(f"invalid window [{self.t1}, {self.t2}]")
         if self.length < 8:
             raise ValidationError(f"window [{self.t1}, {self.t2}] shorter than 8 points")
@@ -77,17 +77,13 @@ class SearchConfig:
         for name in ("m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("population", "max_evaluations", "restarts", "seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.population < 4:
-            raise ValidationError(f"population must be >= 4, got {self.population}")
+        for name, least in {"population": 4, "max_evaluations": None, "restarts": 1, "seed": 0}.items():
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
         if not (self.m_min < self.m_max and self.omega_min < self.omega_max):
             raise ValidationError("search bounds must be non-empty intervals")
         if self.tc_extension <= 0:
             raise ValidationError("tc_extension must be positive")
-        if self.max_evaluations < self.population + 1 or self.restarts < 1:
+        if self.max_evaluations < self.population + 1:
             raise ValidationError("search budget too small")
 
     def tc_bounds(self, window: Window) -> tuple[float, float]:

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer
+from .errors import integer
 
 __all__ = ["CmaResult", "minimize_box", "minimize_problems"]
 
@@ -128,8 +128,7 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     """
     for name, value, least in (("popsize", popsize, 2), ("max_evals", max_evals, 1),
                                ("restarts", restarts, 1)):
-        if integer(name, value) < least:
-            raise ValidationError(f"{name} must be >= {least}, got {value}")
+        integer(name, value, least)
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // restarts.
     lower = np.repeat(np.asarray(lowers, dtype=float), restarts, axis=0)
     width = np.repeat(np.asarray(uppers, dtype=float) - np.asarray(lowers, dtype=float),

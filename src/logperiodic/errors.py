@@ -31,13 +31,17 @@ class InsufficientHistoryError(ValidationError):
     """An endpoint does not have enough prior observations for the window scheme."""
 
 
-def integer(name: str, value) -> int:
+def integer(name: str, value, least: int | None = None) -> int:
     """`value` of the integer setting `name` as an int; ValidationError for a non-integer.
 
     Takes what operator.index takes (int, bool, numpy integers), so 2.5 or
-    '2' is an error rather than a silently truncated or unusable value.
+    '2' is an error rather than a silently truncated or unusable value. Given
+    `least`, a smaller value is one too: `<name> must be >= <least>, got <value>`.
     """
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and index < least:
+        raise ValidationError(f"{name} must be >= {least}, got {index}")
+    return index

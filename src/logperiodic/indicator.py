@@ -44,12 +44,8 @@ class WindowScheme:
     step: int = 5
 
     def __post_init__(self):
-        for name in ("max_len", "min_len", "step"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.min_len < 8:
-            raise ValidationError(f"min_len must be >= 8, got {self.min_len}")
-        if self.step < 1:
-            raise ValidationError(f"step must be >= 1, got {self.step}")
+        for name, least in (("max_len", None), ("min_len", 8), ("step", 1)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
         if self.max_len < self.min_len:
             raise ValidationError("max_len must be >= min_len")
         if (self.max_len - self.min_len) % self.step != 0:
@@ -118,11 +114,8 @@ def windows_for(t2: int, scheme: WindowScheme = WindowScheme()) -> list[Window]:
 
 def window_seed(base_seed: int, t2: int, length: int) -> int:
     """Stable per-window seed; identical across runs, platforms and workers."""
-    entropy = []
-    for name, value in (("base_seed", base_seed), ("t2", t2), ("length", length)):
-        entropy.append(integer(name, value))
-        if entropy[-1] < 0:
-            raise ValidationError(f"{name} must be >= 0, got {value}")
+    entropy = [integer(name, value, 0)
+               for name, value in (("base_seed", base_seed), ("t2", t2), ("length", length))]
     ss = np.random.SeedSequence(entropy=entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -159,14 +152,13 @@ def _chunk_task(args) -> list[WindowOutcome]:
 def _points(series, endpoints, scheme, search_cfg, filter_cfg, base_seed,
             workers) -> list[IndicatorPoint]:
     """Fit and qualify every scheme window of every endpoint as one task list."""
-    if integer("base_seed", base_seed) < 0:
-        raise ValidationError(f"base_seed must be >= 0, got {base_seed}")
+    base_seed, workers = integer("base_seed", base_seed, 0), integer("workers", workers, 1)
     tasks = []
     for t2 in endpoints:
         for chunk in _chunks(windows_for(t2, scheme)):
             seeds = [window_seed(base_seed, t2, w.length) for w in chunk]
             tasks.append((series, chunk, search_cfg, seeds, filter_cfg))
-    if workers is not None and workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(tasks) > 1:
         # imported here: it loads multiprocessing, which a serial run and
         # every CLI call that runs no pool would pay for at import
         from concurrent.futures import ProcessPoolExecutor
@@ -193,15 +185,15 @@ def confidence_at(
     search_cfg: SearchConfig = SearchConfig(),
     filter_cfg: FilterConfig = FilterConfig(),
     base_seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> IndicatorPoint:
     """Indicator at one endpoint: fit and qualify every scheme window.
 
     Each window gets the seed window_seed(base_seed, t2, length), so the
-    value is reproducible and independent of execution order or worker
-    count, and identical on the series truncated at t2; search_cfg.seed
-    is not read. The point, window outcomes included, equals the one point
-    of a scan from t2 to t2.
+    value is reproducible, independent of execution order and of `workers`
+    (an integer >= 1, as in scan), and identical on the series truncated
+    at t2; search_cfg.seed is not read. The point, window outcomes
+    included, equals the one point of a scan from t2 to t2.
     """
     t2 = integer("t2", t2)
     if t2 >= len(series):
@@ -219,20 +211,18 @@ def scan(
     search_cfg: SearchConfig = SearchConfig(),
     filter_cfg: FilterConfig = FilterConfig(),
     base_seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[IndicatorPoint]:
     """Indicator points for endpoints t2_first, t2_first+t2_step, ..., t2_last.
 
     Endpoints without max_len points of history are skipped (and logged once),
     keeping every reported fraction on the same denominator. Window fits
-    across the whole scan may run in parallel; results are ordered by t2
-    and equal to a sequential run. Window seeds come from
-    window_seed(base_seed, t2, length); search_cfg.seed is not read.
+    run in at most `workers` processes, an integer >= 1 (1: this one);
+    results are ordered by t2 and equal to a serial run. Window seeds come
+    from window_seed(base_seed, t2, length); search_cfg.seed is not read.
     """
-    t2_first, t2_last, t2_step = (integer(name, value) for name, value in (
-        ("t2_first", t2_first), ("t2_last", t2_last), ("t2_step", t2_step)))
-    if t2_step < 1:
-        raise ValidationError(f"t2_step must be >= 1, got {t2_step}")
+    t2_first, t2_last = integer("t2_first", t2_first), integer("t2_last", t2_last)
+    t2_step = integer("t2_step", t2_step, 1)
     if t2_last < t2_first:
         raise ValidationError(f"empty scan range [{t2_first}, {t2_last}]")
     if t2_last >= len(series):

@@ -199,8 +199,10 @@ def lomb_test(
         raise ValidationError("residual pairs must have equal length")
     if x.size < 8:
         raise ValidationError(f"need at least 8 residual pairs, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValidationError("residual abscissae must be finite")
     lo, hi = omega_range
-    if not 0 < lo < hi:
+    if not 0 < lo < hi < math.inf:
         raise ValidationError(f"bad angular frequency range {omega_range}")
 
     variance = float(np.var(r, ddof=1))

@@ -39,9 +39,7 @@ class PriceSeries:
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             bad = int(np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))[0])
             raise ValidationError(f"non-positive or non-finite price at index {bad}")
-        stride = integer("stride", self.stride)
-        if stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {stride}")
+        stride = integer("stride", self.stride, 1)
         dates = self.dates
         if dates is not None:
             dates = tuple(dates)
@@ -65,7 +63,10 @@ class PriceSeries:
         return self.prices.size
 
     def date_of(self, i: int) -> _dt.date | None:
-        return self.dates[integer("index", i)] if self.dates is not None else None
+        i = integer("index", i)
+        if not 0 <= i < len(self):
+            raise ValidationError(f"index {i} outside series of length {len(self)}")
+        return self.dates[i] if self.dates is not None else None
 
     def truncate(self, last_index: int) -> "PriceSeries":
         """Series restricted to indices 0..last_index (inclusive)."""
@@ -161,9 +162,7 @@ def resample(series: PriceSeries, stride: int) -> PriceSeries:
     with a real observation; the result is re-indexed 0..M-1 and carries
     the requested stride. Output length is ceil(N / stride).
     """
-    stride = integer("stride", stride)
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
+    stride = integer("stride", stride, 1)
     if series.stride != 1:
         raise ValidationError(f"can only resample a stride-1 series, got stride {series.stride}")
     if stride == 1:

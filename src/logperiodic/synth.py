@@ -41,14 +41,10 @@ class SynthSpec:
     start_date: _dt.date | None = DEFAULT_START_DATE
 
     def __post_init__(self):
-        for name in ("n", "seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.n < 2:
-            raise ValidationError(f"need n >= 2 points, got {self.n}")
+        for name, least in (("n", 2), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_phi < 1.0:
             raise ValidationError(f"noise_phi must lie in [0, 1), got {self.noise_phi}")
         if self.n - 1 >= self.params.tc:

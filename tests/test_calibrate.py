@@ -24,7 +24,7 @@ from oracles import dense_normal_solve, grid_oracle, residual_sum_of_squares
 
 
 def test_window_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^t1 must be >= 0, got -1$"):
         Window(-1, 10)
     with pytest.raises(ValidationError):
         Window(10, 10)
@@ -35,15 +35,15 @@ def test_window_validation():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^population must be >= 4, got 3$"):
         SearchConfig(population=3)
     with pytest.raises(ValidationError):
         SearchConfig(m_min=0.5, m_max=0.5)
     with pytest.raises(ValidationError):
         SearchConfig(tc_extension=0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^restarts must be >= 1, got 0$"):
         SearchConfig(restarts=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
         SearchConfig(seed=-1)
     for name in ("m_min", "m_max", "omega_min", "omega_max", "tc_extension", "damping_floor"):
         for value in (math.nan, math.inf, -math.inf):

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -50,9 +51,9 @@ def test_insufficient_history_rejected():
 
 
 def test_scheme_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^min_len must be >= 8, got 7$"):
         WindowScheme(650, 7, 5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^step must be >= 1, got 0$"):
         WindowScheme(650, 30, 0)
     with pytest.raises(ValidationError):
         WindowScheme(30, 650, 5)
@@ -79,6 +80,20 @@ def test_endpoints_must_be_integers():
                        ((100, 101, 1.5), "t2_step")):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             scan(series, *args, scheme=scheme, search_cfg=FAST_SEARCH, workers=1)
+
+
+@pytest.mark.parametrize("workers, message", [
+    (2.5, "workers must be an integer, got 2.5"), ("2", "workers must be an integer, got '2'"),
+    (0, "workers must be >= 1, got 0"), (-3, "workers must be >= 1, got -3"),
+])
+def test_workers_must_be_positive_integers(workers, message):
+    # 2.5 and '2' died on a bare TypeError in a pooled run; 0 and -3 ran serially
+    series = PriceSeries(np.exp(np.linspace(1.0, 2.0, 200)), None, 1)
+    scheme = WindowScheme(60, 30, 15)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        confidence_at(series, 100, scheme, FAST_SEARCH, workers=workers)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scan(series, 100, 101, scheme=scheme, search_cfg=FAST_SEARCH, workers=workers)
 
 
 def test_window_seed_stable_and_distinct():
@@ -269,7 +284,7 @@ def test_chunks_cover_windows_in_order_with_balanced_sizes():
 def test_scan_rejects_bad_ranges(bubble_series):
     with pytest.raises(ValidationError):
         scan(bubble_series, 200, 100, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^t2_step must be >= 1, got 0$"):
         scan(bubble_series, 100, 200, 0, SMALL_SCHEME, FAST_SEARCH, base_seed=1)
     with pytest.raises(ValidationError):
         scan(bubble_series, 100, 10_000, 1, SMALL_SCHEME, FAST_SEARCH, base_seed=1)

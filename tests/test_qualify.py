@@ -196,6 +196,14 @@ def test_lomb_validation():
     x = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ValidationError):
         lomb_test((x, np.zeros(9)), 0.05)
+    # a nan abscissa died on a bare ValueError, an infinite one on a
+    # ZeroDivisionError and an infinite band on an OverflowError
+    r = np.sin(7.0 * x)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^residual abscissae must be finite$"):
+            lomb_test((np.append(x[:-1], bad), r), 0.05)
+    with pytest.raises(ValidationError, match=r"^bad angular frequency range \(2.0, inf\)$"):
+        lomb_test((x, r), 0.05, (2.0, math.inf))
 
 
 # --- O-U / AR(1) test ----------------------------------------------------

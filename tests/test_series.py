@@ -223,6 +223,11 @@ def test_truncate():
         s.truncate(0)
     with pytest.raises(ValidationError):
         s.truncate(3)
+    # date_of(-1) returned the last date, date_of(3) died on a bare IndexError
+    for series in (s, PriceSeries(s.prices)):
+        for i in (-1, 3):
+            with pytest.raises(ValidationError, match=f"^index {i} outside series of length 3$"):
+                series.date_of(i)
 
 
 @pytest.mark.parametrize("call, name", [

@@ -59,12 +59,12 @@ def test_ar1_noise_mode_autocorrelation():
 
 def test_spec_validation():
     p = bubble_params(220.0, 0.5, 10.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^n must be >= 2, got 1$"):
         SynthSpec(params=p, n=1)
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ValidationError):
             SynthSpec(params=p, n=100, noise_sigma=sigma)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
         SynthSpec(params=p, n=100, noise_sigma=0.01, seed=-1)
     with pytest.raises(ValidationError):
         SynthSpec(params=p, n=100, noise_phi=1.0)

@@ -66,6 +66,11 @@ run resample_bad_threshold resample --input bubble.csv --stride 5 --config bad_t
 run ingest_fit_config ingest --input weekly.csv --config fit.cfg
 printf 'stride = 5\n# again\nstride = 10\n' >stride_twice.cfg
 run resample_stride_twice resample --input bubble.csv --config stride_twice.cfg
+# integer settings below their least: too few points, a negative window start,
+# no restarts
+run synth_n_one synth --tc 430 --m 0.5 --omega 8 --A 8 --B -0.8 --n 1
+run fit_negative_t1 fit --input bubble.csv --t1 -1 --t2 100
+run fit_no_restarts fit --input bubble.csv --t1 320 --t2 419 --restarts 0
 
 # the 420-point bubble followed by a 60-step decline
 "$PYTHON" - <<'EOF'
