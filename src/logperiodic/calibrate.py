@@ -382,6 +382,17 @@ def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig())
     return result
 
 
+# The far-behind rule of the search (cmaes.minimize_problems): a restart whose
+# best cost is still more than this many times its window's leader's after one
+# TolFun history stops. The cost is a sum of squares, so the ratio is one of
+# positive values, and at 10 the restart's residuals are about sqrt(10) = 3.2
+# times the leader's. Half of it, 5, already stops a restart that would have
+# gone on to take the lead: on the desk windows it loses that basin in one
+# window (bubble seed 5, t2 = 667, n = 216, whose cost rises by 90%); 10 loses
+# none there nor on the held-out windows.
+_FAR_BEHIND = 10.0
+
+
 def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list:
     """fit() of each window under cfg with seed seeds[i], as one lockstep search.
 
@@ -406,6 +417,7 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         max_evals=cfg.max_evaluations,
         restarts=cfg.restarts,
         rngs=[np.random.default_rng(seed) for seed in seeds],
+        far_behind=_FAR_BEHIND,
     )
     results = []
     for window, (t, y), found in zip(windows, arrays, searches):

@@ -14,8 +14,10 @@ all running runs as one (k, n) array, each problem's rows contiguous and
 in problem order, together with the row range of each problem. A run
 ends when its evaluation budget is spent, when its step size diverges,
 on one of the two termination criteria of Hansen, "The CMA Evolution
-Strategy: A Tutorial" (arXiv:1604.00772), when it cannot catch up with
-a sibling run, or when it has reached a better sibling's basin:
+Strategy: A Tutorial" (arXiv:1604.00772), or on one of the three rules
+between runs: when it cannot catch up with a sibling run, when it has
+reached a better sibling's basin, or, where the caller asks for it, when
+it is still far behind a sibling:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. A span
@@ -36,13 +38,18 @@ a sibling run, or when it has reached a better sibling's basin:
   in every coordinate: it is taken to be headed for the leader's minimum.
   A run that ties the leader does not trail it, and the leader and
   a search with one restart never stop this way.
+- Far behind (off unless the caller passes far_behind): from TolFun's
+  history length on, the run trails its problem's leader and its best
+  value is more than far_behind times the leader's. A ratio of raw values
+  is meaningful only for an objective that is never negative, and unlike
+  the other rules it changes its decisions when f becomes a f + b.
 
-Catch-up and same basin are the only criteria that read other runs, and
-only those of the same problem. Both stop only a run that trails its
+These three are the only criteria that read other runs, and only those of
+the same problem. All three stop only a run that trails its
 leader. A stopped run's best never changes and a running run's only
 falls, so a run that is the last one running of its problem and does not
 trail never trails again: once every problem with runs going is down to
-such a run, the search skips these two rules for good, which moves no
+such a run, the search skips these three rules for good, which moves no
 bit. A last running run that trails, behind a leader stopped by TolFun,
 say, is still stopped by them.
 
@@ -53,11 +60,12 @@ identical generators give bit-identical runs, alone or in any batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import integer
+from .errors import ValidationError, integer
 
 __all__ = ["CmaResult", "minimize_box", "minimize_problems"]
 
@@ -93,7 +101,8 @@ class CmaResult:
     evaluations: int
 
 
-def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) -> list[CmaResult]:
+def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
+                      far_behind=None) -> list[CmaResult]:
     """Minimize problem p of func over its box [lowers[p], uppers[p]] with restarted CMA-ES.
 
     The problems share the dimension, population, budget and restart count;
@@ -117,22 +126,48 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
     Every run starts with step size 1/4 of each box width, gets at most
     max_evals objective evaluations and stops early on TolFun, TolX, a
     diverging step size, when it cannot catch up with a strictly better
-    run of its own problem, or when its best point lies within _SAME_BASIN
-    of the best point of such a run, the leader of its problem; a stopped
-    run leaves the batch. Under these two rules the generation at which a
-    trailing run stops depends on the other runs of its problem, so adding
-    restarts can end a run earlier; the leading run of each problem always
-    finishes, and with restarts = 1 neither rule fires. popsize, max_evals
-    and restarts are integers of at least 2, 1 and 1; ValidationError
-    otherwise.
+    run of its own problem, when its best point lies within _SAME_BASIN
+    of the best point of such a run, the leader of its problem, or, given
+    far_behind, when from TolFun's history length on its best value is
+    more than far_behind times its leader's; a stopped run leaves the
+    batch. Under these rules the generation at which a trailing run stops
+    depends on the other runs of its problem, so adding restarts can end
+    a run earlier; the leading run of each problem always finishes, and
+    with restarts = 1 none of them fires.
+    far_behind reads a ratio of objective values, so it is for an
+    objective that is never negative, a sum of squares say; None, the
+    default, leaves the rule off, and every decision of the search then
+    stays the same when the objective becomes a f + b with a > 0.
+    popsize, max_evals and restarts are integers of at least 2, 1 and 1;
+    there is at least one problem, one generator per problem and bounds of
+    one shape (problems, dimension), finite with lower < upper; far_behind
+    is None or a finite number > 1. ValidationError otherwise.
     """
     for name, value, least in (("popsize", popsize, 2), ("max_evals", max_evals, 1),
                                ("restarts", restarts, 1)):
         integer(name, value, least)
+    if len(lowers) == 0:
+        raise ValidationError("minimize_problems needs at least one problem")
+    shape = "lowers and uppers must both have shape (problems, dimension)"
+    try:
+        lowers, uppers = np.asarray(lowers, dtype=float), np.asarray(uppers, dtype=float)
+    except ValueError as exc:  # ragged, or not numbers
+        raise ValidationError(f"{shape}: {exc}") from None
+    if lowers.ndim != 2 or lowers.shape[1] == 0 or uppers.shape != lowers.shape:
+        raise ValidationError(f"{shape}, got {lowers.shape} and {uppers.shape}")
+    if len(rngs) != len(lowers):
+        raise ValidationError(f"one generator per problem: {len(lowers)} problems, "
+                              f"got {len(rngs)} generators")
+    for p, (lo, hi) in enumerate(zip(lowers, uppers)):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+            raise ValidationError(f"problem {p}: bounds must be finite with lower < upper, "
+                                  f"got {lo.tolist()} and {hi.tolist()}")
+    if far_behind is not None and not (isinstance(far_behind, numbers.Real)
+                                       and math.isfinite(far_behind) and far_behind > 1):
+        raise ValidationError(f"far_behind must be None or a finite number > 1, got {far_behind!r}")
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // restarts.
-    lower = np.repeat(np.asarray(lowers, dtype=float), restarts, axis=0)
-    width = np.repeat(np.asarray(uppers, dtype=float) - np.asarray(lowers, dtype=float),
-                      restarts, axis=0)
+    lower = np.repeat(lowers, restarts, axis=0)
+    width = np.repeat(uppers - lowers, restarts, axis=0)
     runs, n = lower.shape
     rngs = [g for rng in rngs for g in (rng, *rng.spawn(restarts - 1))]
 
@@ -281,6 +316,9 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs) 
                     creeping = ((then - now <= _CATCH_UP * (now - leader))
                                 & (sigma * np.sqrt(eigvals[:, -1]) < _CATCH_UP_STEP))
                     stop |= trailing & ((then == now) | creeping)
+                    if far_behind is not None:
+                        # far behind: still more than far_behind times the leader's value
+                        stop |= trailing & (now > far_behind * leader)
                 past_best[:, slot] = now
                 # same basin: behind the leader, with its best point next to the leader's
                 stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)

@@ -174,7 +174,7 @@ def _rough_well(xs):
     return 1.0 + 100.0 * np.sum(e * e, axis=1) + 1e-3 * ((xs @ _ROUGH) % 1.0)
 
 
-def _two_runs(objective, seed, lam=7):
+def _two_runs(objective, seed, lam=7, far_behind=None):
     """Runs 0 and 1 of a two-restart search: each one's rows and best value, per generation.
 
     Entry g of a run is generation g (0 is its start point); a run's last entry is the
@@ -192,7 +192,8 @@ def _two_runs(objective, seed, lam=7):
     alone, both = [], []
     for calls, restarts in ((alone, 1), (both, 2)):
         minimize_problems(recording(calls), [LO], [HI], popsize=lam, max_evals=2000,
-                          restarts=restarts, rngs=[np.random.default_rng(seed)])
+                          restarts=restarts, rngs=[np.random.default_rng(seed)],
+                          far_behind=far_behind)
     first = 1 + sum(len(points) == 2 * lam for points in both[1:])  # one run's rows from here
     rows = [[both[0][:1], *(p[:lam] for p in both[1:first])],
             [both[0][1:], *(p[lam:] for p in both[1:first])]]
@@ -382,8 +383,124 @@ def test_rules_between_runs_hold_while_another_problem_is_down_to_its_leader():
     assert [1, 2, 1] in calls[1:] and [1, 1, 1] in calls[1:]
 
 
+def _far_wells(floor):
+    """Never negative: a well floored at 0.01 at (0.2, 0.3, 0.3), one floored at `floor` at (0.85, 0.7, 0.7)."""
+    def func(xs):
+        d = xs - (0.2, 0.3, 0.3)
+        e = xs - (0.85, 0.7, 0.7)
+        return np.minimum(1e-2 + 100.0 * np.sum(d * d, axis=1), floor + 100.0 * np.sum(e * e, axis=1))
+    return func
+
+
+def test_run_far_behind_its_leader_stops_after_one_history():
+    # run 0 converges in the well floored at 0.01; run 1 falls into the one floored 20
+    # times higher. With far_behind = 10 it stops at the end of generation H, the first
+    # the rule reads; without it the catch-up rule ends it only later
+    _, best, alone = _two_runs(_far_wells(0.2), seed=0, far_behind=10.0)
+    assert len(best[1]) - 1 == _HISTORY
+    assert best[1][-1] > 10.0 * best[0][_HISTORY]
+    assert len(best[0]) - 1 == alone
+    _, off, _ = _two_runs(_far_wells(0.2), seed=0)
+    assert len(off[1]) - 1 > _HISTORY + 10
+    assert 0.2 < off[1][-1] < 0.2 * (1.0 + 1e-3)
+    assert off[0][-1] == best[0][-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_five_times_behind_its_leader_is_not_stopped_by_far_behind(seed):
+    # run 1 settles in a well floored 5 times above the leader's floor: the rule never
+    # fires, and the whole search is the one made without it, bit for bit
+    objective = _far_wells(0.05)
+    with_rule, _, _ = _two_runs(objective, seed, far_behind=10.0)
+    without, best, _ = _two_runs(objective, seed)
+    assert all(len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+               for a, b in zip(with_rule, without))
+    assert 0.05 < max(b[-1] for b in best) < 0.05 * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("seed, leader", [(0, 0), (9, 1)])
+def test_leading_run_is_never_stopped_by_far_behind(seed, leader):
+    # at a ratio just above 1 every trailing run stops at generation H; the run that
+    # leads then goes on, generation for generation, as it does without the rule
+    objective = _far_wells(0.2)
+    rows, best, _ = _two_runs(objective, seed, far_behind=1.0 + 1e-6)
+    rows_off, best_off, _ = _two_runs(objective, seed)
+    assert len(best[1 - leader]) - 1 == _HISTORY
+    assert len(rows[leader]) == len(rows_off[leader])
+    assert all(np.array_equal(x, y) for x, y in zip(rows[leader], rows_off[leader]))
+    assert best[leader][-1] == min(b[-1] for b in best_off) < 0.01 * (1.0 + 1e-3)
+
+
+def test_far_behind_leaves_a_single_restart_alone():
+    # with one restart nothing trails: every call of the search is the one it makes without the rule
+    for objective, seed in ((_far_wells(0.2), 0), (_far_wells(0.2), 9), (_rough_well, 4)):
+        calls = {}
+        for far_behind in (None, 1.0 + 1e-6):
+            calls[far_behind] = []
+
+            def func(points, parts, record=calls[far_behind]):
+                record.append(np.array(points))
+                return objective(points)
+
+            minimize_problems(func, [LO], [HI], popsize=7, max_evals=2000, restarts=1,
+                              rngs=[np.random.default_rng(seed)], far_behind=far_behind)
+        a, b = calls.values()
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _search(**change):
+    """A two-problem minimize_problems call with `change` applied to its arguments."""
+    args = {"func": _each(_population, _population), "lowers": [LO, LO], "uppers": [HI, HI],
+            "popsize": 7, "max_evals": 300, "restarts": 2,
+            "rngs": [np.random.default_rng(0), np.random.default_rng(1)], **change}
+    return minimize_problems(**args)
+
+
+@pytest.mark.parametrize("change, message", [
+    # zero problems died on a bare ValueError, one generator for two problems on an IndexError
+    ({"lowers": [], "uppers": [], "rngs": []}, "minimize_problems needs at least one problem"),
+    ({"rngs": [np.random.default_rng(0)]}, "one generator per problem: 2 problems, got 1 generators"),
+    ({"lowers": LO, "uppers": HI}, "lowers and uppers must both have shape (problems, dimension), "
+                                   "got (3,) and (3,)"),
+    ({"uppers": [HI, HI, HI]}, "lowers and uppers must both have shape (problems, dimension), "
+                               "got (2, 3) and (3, 3)"),
+    ({"lowers": np.zeros((2, 0)), "uppers": np.zeros((2, 0))},
+     "lowers and uppers must both have shape (problems, dimension), got (2, 0) and (2, 0)"),
+    # these two ran silently and returned a result
+    ({"lowers": [LO, (0.0, 1.0, 0.0)]},
+     "problem 1: bounds must be finite with lower < upper, got [0.0, 1.0, 0.0] and [1.0, 1.0, 1.0]"),
+    ({"uppers": [HI, (1.0, math.nan, 1.0)]},
+     "problem 1: bounds must be finite with lower < upper, got [0.0, 0.0, 0.0] and [1.0, nan, 1.0]"),
+    ({"lowers": [(-math.inf, 0.0, 0.0), LO]},
+     "problem 0: bounds must be finite with lower < upper, got [-inf, 0.0, 0.0] and [1.0, 1.0, 1.0]"),
+    ({"far_behind": 1.0}, "far_behind must be None or a finite number > 1, got 1.0"),
+    ({"far_behind": 0.5}, "far_behind must be None or a finite number > 1, got 0.5"),
+    ({"far_behind": math.inf}, "far_behind must be None or a finite number > 1, got inf"),
+    ({"far_behind": math.nan}, "far_behind must be None or a finite number > 1, got nan"),
+    ({"far_behind": "10"}, "far_behind must be None or a finite number > 1, got '10'"),
+])
+def test_searches_it_cannot_run_are_rejected(change, message):
+    with pytest.raises(ValidationError) as caught:
+        _search(**change)
+    assert str(caught.value) == message
+
+
+def test_ragged_bounds_are_rejected():
+    # numpy's own words follow the colon
+    with pytest.raises(ValidationError) as caught:
+        _search(lowers=[LO, LO[:2]])
+    assert str(caught.value).startswith("lowers and uppers must both have shape (problems, dimension): ")
+
+
+def test_least_settings_of_a_search_run():
+    # bounds that differ by a little, a far_behind just above 1 and an integer one all run
+    found = _search(uppers=[HI, np.full(3, 1e-9)], far_behind=1.0 + 1e-9)
+    assert all(math.isfinite(f.cost) for f in found)
+    assert _search(far_behind=2)[0].cost == _search(far_behind=2.0)[0].cost
+
+
 def test_single_restart_fit_is_pinned(strong_bubble):
-    # with one restart every run leads its problem, so neither rule between
+    # with one restart every run leads its problem, so no rule between
     # runs fires; the evaluations are those of the fit before any rule
     # between restarts existed, the cost is the LDL^T kernel's
     _, series = strong_bubble
@@ -393,13 +510,14 @@ def test_single_restart_fit_is_pinned(strong_bubble):
 
 
 def test_default_restart_fit_is_pinned(strong_bubble):
-    # all five restarts, four of them stopped behind a leader by the rules
-    # between runs, run 0 among them once run 1 has overtaken it: a change to
-    # the restart bookkeeping that moves one bit of the search fails here
+    # all five restarts: at generation 23, one TolFun history, runs 0-3 are each
+    # more than ten times behind run 4 and stop by the far-behind rule that fit
+    # turns on; run 4, the leader, goes on until TolFun ends it. A change to the
+    # restart bookkeeping that moves one bit of the search fails here
     _, series = strong_bubble
     res = fit(series, Window(300, 419), SearchConfig(seed=5))
-    assert res.evaluations == 2511
-    assert res.cost.hex() == "0x1.287bb3282ff76p-9"
+    assert res.evaluations == 1552
+    assert res.cost.hex() == "0x1.287bb32830038p-9"
 
 
 def test_restart_streams_nest():

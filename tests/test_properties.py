@@ -1,5 +1,6 @@
 """Hypothesis properties of the series layer, the cost kernel, the periodogram and the indicator."""
 
+import datetime as _dt
 import math
 
 import numpy as np
@@ -66,6 +67,25 @@ def test_resample_keeps_last_point_and_ceil_length(n, stride):
     assert len(out) == math.ceil(n / stride)
     assert out.prices[-1] == s.prices[-1]
     assert out.stride == stride
+
+
+@given(stride=st.integers(min_value=2, max_value=30), points=st.integers(min_value=4, max_value=60),
+       data=st.data())
+def test_resampled_series_is_causal_on_its_own_grid_only(stride, points, data):
+    # cut the daily series at the day of a coarse point: the coarse series of what is
+    # left is the full coarse series up to that point. Cut it on any other day and
+    # the grid shifts: not one coarse point of the cut series is one of the full's
+    n = (points - 1) * stride + 1 + data.draw(st.integers(0, stride - 1), label="days before")
+    first = _dt.date(2001, 1, 1)
+    daily = PriceSeries(100.0 + np.arange(n, dtype=float),
+                        tuple(first + _dt.timedelta(days=i) for i in range(n)), 1)
+    coarse = resample(daily, stride)
+    k = data.draw(st.integers(1, points - 3), label="coarse points cut")
+    on_grid = resample(daily.truncate(n - 1 - k * stride), stride)
+    assert on_grid == PriceSeries(coarse.prices[:-k], coarse.dates[:-k], stride)
+    shift = data.draw(st.integers(1, stride - 1), label="days off the grid")
+    off_grid = resample(daily.truncate(n - 1 - k * stride - shift), stride)
+    assert not np.isin(off_grid.prices, coarse.prices).any()
 
 
 @settings(max_examples=60, deadline=None)

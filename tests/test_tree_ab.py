@@ -38,6 +38,9 @@ def test_identical_trees_report_equal_costs_and_exit_0():
     assert "costs risen by more than 1e-9 relative: 0" in lines
     # evaluations next to the group's seconds and its per-endpoint ratios b/a
     assert "  bubble t2=659: 2700 -> 2700 (1.000x); 3.000 -> 1.500 s, 0.500 [0.500, 0.500]" in lines
+    # and under it the group's evaluations x window length, summed
+    group = lines.index("  bubble t2=659: 2700 -> 2700 (1.000x); 3.000 -> 1.500 s, 0.500 [0.500, 0.500]")
+    assert lines[group + 1] == "    work, evaluations x window length: 6697600 -> 6697600 (1.000x)"
     # the seconds are timings, not results: they never change the exit status
     assert tree_ab.exit_status(a, b, []) == 0
 
@@ -61,7 +64,9 @@ def _moved(change):
     (lambda b: b[2]["windows"][0].update({"cost": float("inf"), "evaluations": None,
                                           "class": "failed"}),
      ["qualification flips: 1", "  ['null', 0, 659] n=650: unqualified -> failed",
-      "  null t2=659: 2250 -> 2000 (0.889x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]"]),
+      "  null t2=659: 2250 -> 2000 (0.889x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]",
+      # a failed window's evaluations are not recorded: it adds no work
+      "    work, evaluations x window length: 2863000 -> 1238000 (0.432x)"]),
 ])
 def test_moved_fits_are_listed_and_exit_1(change, listed):
     a, b = _tree(), _moved(change)

@@ -21,7 +21,9 @@ the scan seed, and is timed. The report lists
 the windows whose qualification or fit success differs, the endpoints whose
 (pos, neg) counts differ, the bit-equal costs, each endpoint group's mean
 evaluations per fitted window and seconds with the median and quartiles of
-its per-endpoint ratios b/a, the costs risen by more than 1e-9 relative and
+its per-endpoint ratios b/a, under it the group's work (the sum of
+evaluations x window length over its fitted windows, the kernel's work as a
+count that repeats exactly), the costs risen by more than 1e-9 relative and
 the largest relative cost change.
 
 Timing pairs. Pair i of N (`--pairs`, default 10; 0 runs none) reads series
@@ -187,9 +189,13 @@ def report(a: list, b: list) -> list[str]:
                                   if w["evaluations"] is not None) for side in zip(*group)]
         seconds = [sum(e["seconds"] for e in side) for side in zip(*group)]
         ratio = spread([eb["seconds"] / ea["seconds"] for ea, eb in group])
+        work = [sum(w["evaluations"] * w["length"] for e in side for w in e["windows"]
+                    if w["evaluations"] is not None) for side in zip(*group)]
         lines.append(f"  {kind} t2={t2}: {evals[0]:.0f} -> {evals[1]:.0f} "
                      f"({evals[1] / evals[0]:.3f}x); {seconds[0]:.3f} -> {seconds[1]:.3f} s, "
                      f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
+        lines.append(f"    work, evaluations x window length: {work[0]} -> {work[1]} "
+                     f"({work[1] / work[0]:.3f}x)")
     rose = [(rel, r) for rel, r in changes if rel > 1e-9]
     lines.append(f"costs risen by more than 1e-9 relative: {len(rose)}")
     lines += [f"  {r['endpoint']} n={r['length']}: +{rel:.3g}" for rel, r in rose]
