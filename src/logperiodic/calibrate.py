@@ -427,6 +427,6 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         else:
             results.append(FitFailedError(
                 f"no admissible fit in window [{window.t1}, {window.t2}] "
-                f"({found.evaluations} evaluations)"
+                f"({found.evaluations} evaluations)", found.evaluations
             ))
     return results

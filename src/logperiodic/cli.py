@@ -55,14 +55,14 @@ class _RunFields:
     max_window: int = indicator.WindowScheme.max_len
     min_window: int = indicator.WindowScheme.min_len
     window_step: int = indicator.WindowScheme.step
-    threshold: float | None = None  # resolved: daily for stride 1, weekly coarser
+    threshold: float | None = None  # resolve_config: daily for stride 1, weekly coarser
     t2_first: int | None = None
     t2_last: int | None = None
     t2_step: int = 1
     seed: int = calibrate.SearchConfig.seed
     output: str | None = None
     format: str | None = None
-    workers: int | None = None
+    workers: int | None = None  # resolve_config: _default_workers()
     # synth's model and series, fit's window, classify's table, review and sign
     tc: float | None = None
     m: float | None = None
@@ -94,25 +94,20 @@ class _RunFields:
     def scheme(self) -> indicator.WindowScheme:
         return indicator.WindowScheme(self.max_window, self.min_window, self.window_step)
 
-    def resolved_threshold(self) -> float:
-        if self.threshold is not None:
-            return self.threshold
-        return float(DAILY_THRESHOLD if self.stride == 1 else WEEKLY_THRESHOLD)
 
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-            return _check_setting("workers", workers, WORKERS_ENV)
-        # the CPUs this process may run on, not all the machine's CPUs
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+def _default_workers() -> int:
+    """scan's worker count where unset: LOGPERIODIC_WORKERS, else the CPUs this process may use."""
+    env = os.environ.get(WORKERS_ENV)
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+        return _check_setting("workers", workers, WORKERS_ENV)
+    # the CPUs this process may run on, not all the machine's CPUs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _CHOICES = {"format": ("csv", "json"), "sign": ("positive", "negative")}
@@ -215,7 +210,8 @@ def load_config_file(path: str, command: str, settings) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The subcommand's settings: flags over its config file over RunConfig's defaults."""
+    """The subcommand's settings: flags over its config file over RunConfig's defaults,
+    which for `threshold` follow the stride and for `workers` are _default_workers()."""
     values = load_config_file(args.config, args.command, args.settings) if args.config else {}
     for name in args.settings:
         if (value := getattr(args, name)) is not None:
@@ -223,12 +219,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     missing = [_flag(name) for name in args.required if name not in values]
     if missing:
         args.usage_error("the following arguments are required: " + ", ".join(missing))
-    return RunConfig(**values)
-
-
-def config_dict(cfg: RunConfig, settings) -> dict:
-    """The subcommand's settings as recorded: `threshold` resolved, `workers` as scan resolved it."""
-    return {name: cfg.resolved_threshold() if name == "threshold" else getattr(cfg, name) for name in settings}
+    cfg = RunConfig(**values)
+    if "threshold" in args.settings and cfg.threshold is None:
+        cfg.threshold = float(DAILY_THRESHOLD if cfg.stride == 1 else WEEKLY_THRESHOLD)
+    if "workers" in args.settings and cfg.workers is None:
+        cfg.workers = _default_workers()
+    return cfg
 
 
 def _jsonable(obj):
@@ -318,7 +314,6 @@ def _scan_csv(loaded, points) -> str:
 
 
 def cmd_scan(cfg: RunConfig) -> str | dict:
-    cfg.workers = cfg.resolved_workers()
     loaded = _read_series(cfg)
     scheme = cfg.scheme()
     first = cfg.t2_first if cfg.t2_first is not None else scheme.max_len - 1
@@ -411,7 +406,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
     points = read_scan_csv(_read_text(cfg.scan_table))
     lo = _resolve_review_bound(loaded, cfg.review_first, True)
     hi = _resolve_review_bound(loaded, cfg.review_last, False)
-    assessment = assess(loaded, points, (lo, hi), cfg.resolved_threshold(), sign=cfg.sign)
+    assessment = assess(loaded, points, (lo, hi), cfg.threshold, sign=cfg.sign)
     return {"review": {"first": lo, "last": hi}, "sign": cfg.sign, **dataclasses.asdict(assessment)}
 
 
@@ -452,8 +447,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        record = args.handler(cfg)  # scan resolves cfg.workers, so record the settings after it
-        _write_output(_render(config_dict(cfg, args.settings), record), cfg.output)
+        record = args.handler(cfg)
+        _write_output(_render({name: getattr(cfg, name) for name in args.settings}, record), cfg.output)
         return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,14 @@ class DegenerateBasisError(LogPeriodicError):
 
 
 class FitFailedError(LogPeriodicError):
-    """No admissible candidate was found during the nonlinear search."""
+    """No admissible candidate was found during the nonlinear search.
+
+    `evaluations` is the search's count of cost evaluations, None where no search ran.
+    """
+
+    def __init__(self, message: str, evaluations: int | None = None):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 class InsufficientHistoryError(ValidationError):

@@ -120,7 +120,8 @@ class OuResult(NamedTuple):
     p_value: float
 
 
-def oscillation_count(params: LpplsParams, window: Window, divisor: float = 2.0) -> float:
+def oscillation_count(params: LpplsParams, window: Window,
+                      divisor: float = FilterConfig.oscillation_divisor) -> float:
     """(omega/divisor) * ln((tc-t1)/(tc-t2)): oscillations resolvable in the window."""
     if params.tc <= window.t2:
         raise DomainError(f"tc={params.tc} must exceed window end {window.t2}")
@@ -181,8 +182,8 @@ def _lomb_power(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 def lomb_test(
     residual_pairs: tuple[np.ndarray, np.ndarray],
-    alpha_sig: float = 0.05,
-    omega_range: tuple[float, float] = (2.0, 25.0),
+    alpha_sig: float = FilterConfig.lomb_alpha,
+    omega_range: tuple[float, float] = (FilterConfig.omega_min, FilterConfig.omega_max),
 ) -> LombResult:
     """Lomb-Scargle significance of the detrended residual.
 
@@ -252,7 +253,7 @@ def _mackinnon_p_nc(t_stat: float) -> float:
     return _norm_cdf(poly)
 
 
-def ar1_test(residuals: np.ndarray, alpha: float = 0.05) -> OuResult:
+def ar1_test(residuals: np.ndarray, alpha: float = FilterConfig.ou_alpha) -> OuResult:
     """Mean-reversion check: AR(1) fit plus Dickey-Fuller unit-root rejection.
 
     Fits eps[i+1] = phi * eps[i] + u by least squares (no intercept) and
@@ -285,7 +286,7 @@ def ar1_test(residuals: np.ndarray, alpha: float = 0.05) -> OuResult:
 
 
 def ou_test(
-    series: PriceSeries, window: Window, params: LpplsParams, alpha: float = 0.05
+    series: PriceSeries, window: Window, params: LpplsParams, alpha: float = FilterConfig.ou_alpha
 ) -> OuResult:
     """ar1_test applied to the log-price fit residuals of one window."""
     t, y = _window_arrays(series, window)

@@ -55,19 +55,12 @@ class SynthSpec:
 
 def trading_dates(start: _dt.date, n: int) -> tuple[_dt.date, ...]:
     """n consecutive weekdays starting at (or after) `start`."""
-    out = []
-    day = start
-    try:
-        while len(out) < n:
-            if day.weekday() < 5:
-                out.append(day)
-            day += _dt.timedelta(days=1)
-    except OverflowError:  # stepped past date.max; fine once the n-th day is in
-        if len(out) < n:
-            raise ValidationError(
-                f"{n} trading days from {start.isoformat()} run past {_dt.date.max.isoformat()}"
-            ) from None
-    return tuple(out)
+    days = np.busday_offset(np.datetime64(start, "D"), np.arange(n), roll="forward")
+    if days.size and days[-1] > np.datetime64(_dt.date.max, "D"):
+        raise ValidationError(
+            f"{n} trading days from {start.isoformat()} run past {_dt.date.max.isoformat()}"
+        )
+    return tuple(days.tolist())
 
 
 def generate(spec: SynthSpec) -> PriceSeries:

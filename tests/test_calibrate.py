@@ -206,6 +206,16 @@ def test_fit_failure_when_basis_always_degenerate(exact_bubble):
         fit(s, Window(0, 199), cfg)
 
 
+def test_failed_fit_carries_its_evaluation_count(exact_bubble):
+    # no point reaches a damping ratio of 1e9, so the search rejects every one
+    _, s = exact_bubble
+    cfg = SearchConfig(damping_floor=1e9, seed=1, max_evaluations=300, restarts=2)
+    with pytest.raises(FitFailedError) as caught:
+        fit(s, Window(0, 199), cfg)
+    assert caught.value.evaluations > 0
+    assert str(caught.value).endswith(f"({caught.value.evaluations} evaluations)")
+
+
 def test_chunked_fits_equal_single_fits(strong_bubble):
     # With m >= 4 every candidate of the 200-point window is rejected, whatever
     # its tc, m, omega and the data: the first pivot of its normal matrix is

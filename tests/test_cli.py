@@ -10,7 +10,7 @@ import pytest
 
 import logperiodic
 from logperiodic import PriceSeries, SynthSpec, emit_csv, generate, ingest
-from logperiodic.cli import RunConfig, build_parser, config_dict, main, read_scan_csv
+from logperiodic.cli import RunConfig, build_parser, main, read_scan_csv, resolve_config
 from logperiodic.synth import trading_dates
 from conftest import bubble_params
 
@@ -289,7 +289,7 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("LOGPERIODIC_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert RunConfig().resolved_workers() == 2
+    assert resolve_config(build_parser().parse_args(["scan", "--seed", "0"])).workers == 2
 
 
 def test_fit_with_overflowing_m_box_ends_in_a_fit(bubble_csv, capsys):
@@ -351,15 +351,21 @@ def test_config_surface_is_pinned():
         },
         "classify": {
             "scan_table": None, "review_first": None, "review_last": None, "input": None, "stride": 1,
-            "threshold": 0.05, "sign": "positive", "output": None,
+            "threshold": None, "sign": "positive", "output": None,
         },
     }
-    assert {command: config_dict(RunConfig(), _settings(command)) for command in surface} == surface
+    defaults = RunConfig()
+    assert {command: {name: getattr(defaults, name) for name in _settings(command)}
+            for command in surface} == surface
 
 
 def test_default_threshold_follows_the_stride():
-    daily = config_dict(RunConfig(stride=1), _settings("classify"))["threshold"]
-    weekly = config_dict(RunConfig(stride=5), _settings("classify"))["threshold"]
+    def threshold(stride):
+        args = build_parser().parse_args(["classify", "--stride", stride, "--scan-table", "s",
+                                          "--review-first", "0", "--review-last", "1"])
+        return resolve_config(args).threshold
+
+    daily, weekly = threshold("1"), threshold("5")
     assert (type(daily), daily) == (float, 0.05)
     assert (type(weekly), weekly) == (float, 0.02)
 

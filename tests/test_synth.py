@@ -102,6 +102,17 @@ def test_trading_dates_skip_weekends():
         trading_dates(dt.date(9999, 12, 30), 3)
 
 
+def test_trading_dates_are_the_weekdays_from_a_random_start():
+    rng = np.random.default_rng(20)
+    lo, hi = dt.date(1, 1, 1).toordinal(), dt.date(9999, 12, 1).toordinal()
+    for ordinal, n in zip(rng.integers(lo, hi, 200), rng.integers(0, 40, 200)):
+        start, n = dt.date.fromordinal(int(ordinal)), int(n)
+        days = (start + dt.timedelta(days=k) for k in range(2 * n + 7))  # holds n weekdays
+        weekdays = tuple(day for day in days if day.weekday() < 5)[:n]
+        assert len(weekdays) == n
+        assert trading_dates(start, n) == weekdays
+
+
 def test_generated_csv_round_trips():
     spec = SynthSpec(params=bubble_params(220.0, 0.5, 10.0), n=80, noise_sigma=0.01, seed=2)
     s = generate(spec)

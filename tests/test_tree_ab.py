@@ -61,11 +61,16 @@ def _moved(change):
      ["bit-equal costs: 5 of 6", "costs risen by more than 1e-9 relative: 1",
       "  ['null', 0, 659] n=619: +1e-06",
       "largest relative cost change: +1e-06 (['null', 0, 659] n=619)"]),
-    (lambda b: b[2]["windows"][0].update({"cost": float("inf"), "evaluations": None,
+    (lambda b: b[2]["windows"][0].update({"cost": float("inf"), "evaluations": 3500,
                                           "class": "failed"}),
      ["qualification flips: 1", "  ['null', 0, 659] n=650: unqualified -> failed",
-      "  null t2=659: 2250 -> 2000 (0.889x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]",
-      # a failed window's evaluations are not recorded: it adds no work
+      "  null t2=659: 2250 -> 2750 (1.222x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]",
+      # a failed window spent its evaluations: they count as work
+      "    work, evaluations x window length: 2863000 -> 3513000 (1.227x)"]),
+    # a tree whose FitFailedError carries no count records None: the window is left out
+    (lambda b: b[2]["windows"][0].update({"cost": float("inf"), "evaluations": None,
+                                          "class": "failed"}),
+     ["  null t2=659: 2250 -> 2000 (0.889x); 1.000 -> 1.000 s, 1.000 [1.000, 1.000]",
       "    work, evaluations x window length: 2863000 -> 1238000 (0.432x)"]),
 ])
 def test_moved_fits_are_listed_and_exit_1(change, listed):

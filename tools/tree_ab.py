@@ -20,11 +20,12 @@ its windows chunk by chunk, as a scan fits them, under the series seed as
 the scan seed, and is timed. The report lists
 the windows whose qualification or fit success differs, the endpoints whose
 (pos, neg) counts differ, the bit-equal costs, each endpoint group's mean
-evaluations per fitted window and seconds with the median and quartiles of
-its per-endpoint ratios b/a, under it the group's work (the sum of
-evaluations x window length over its fitted windows, the kernel's work as a
-count that repeats exactly), the costs risen by more than 1e-9 relative and
-the largest relative cost change.
+evaluations per window and seconds with the median and quartiles of its
+per-endpoint ratios b/a, under it the group's work (the sum of evaluations
+x window length, the kernel's work as a count that repeats exactly), the
+costs risen by more than 1e-9 relative and the largest relative cost
+change. Both group lines count every window whose evaluations are known,
+failed fits included: a failed fit spends its whole budget.
 
 Timing pairs. Pair i of N (`--pairs`, default 10; 0 runs none) reads series
 seed K + i (`--seed`, default 1):
@@ -123,8 +124,9 @@ def fit_endpoint(lp, endpoint) -> dict:
     seconds = time.perf_counter() - start
     records = []
     for window, result in zip((w for chunk, _ in chunks for w in chunk), results):
-        record = {"length": window.length, "cost": float("inf"), "evaluations": None,
-                  "class": "failed"}
+        # None from a tree whose FitFailedError does not carry its count
+        record = {"length": window.length, "cost": float("inf"),
+                  "evaluations": getattr(result, "evaluations", None), "class": "failed"}
         if not isinstance(result, lp.FitFailedError):
             report = lp.qualify(result, series, window, lp.FilterConfig())
             record.update({"cost": result.cost, "evaluations": result.evaluations,
@@ -179,7 +181,7 @@ def report(a: list, b: list) -> list[str]:
                if ra["class"] != "failed" and rb["class"] != "failed" and ra["cost"] > 0.0]
     same = sum(ra["cost"] == rb["cost"] for ra, rb in pairs)
     lines.append(f"bit-equal costs: {same} of {len(pairs)}")
-    lines.append("per endpoint group, a -> b: mean evaluations per fitted window; seconds, "
+    lines.append("per endpoint group, a -> b: mean evaluations per window; seconds, "
                  "and the per-endpoint b/a [q1, q3]:")
     groups = {}
     for ea, eb in zip(a, b):
@@ -227,7 +229,7 @@ def kernel_unit(lp, series, rows: int, seed: int):
     cfg = lp.SearchConfig()
     tc_lo, tc_hi = cfg.tc_bounds(window)
     rng = np.random.default_rng(seed)
-    points = np.column_stack([rng.uniform(tc_lo + 0.01, tc_hi, rows),
+    points = np.column_stack([rng.uniform(tc_lo + lp.calibrate.TC_GUARD, tc_hi, rows),
                               rng.uniform(cfg.m_min, cfg.m_max, rows),
                               rng.uniform(cfg.omega_min, cfg.omega_max, rows)])
     func = lp.calibrate._objective([lp.calibrate._window_arrays(series, window)], cfg)
