@@ -16,7 +16,7 @@ import numpy as np
 
 from .cmaes import minimize_problems
 from .errors import DegenerateBasisError, DomainError, FitFailedError, ValidationError, integer
-from .model import LpplsParams
+from .model import LpplsParams, damping
 from .series import PriceSeries
 
 __all__ = [
@@ -337,8 +337,7 @@ def _objective(arrays, cfg: SearchConfig):
 
     The objective of minimize_problems: problem p is the window whose
     (t, y) is arrays[p]. Besides the kernel's rejections, a row whose
-    damping ratio m|B| / (omega sqrt(C1^2 + C2^2)) falls below the floor
-    is rejected.
+    damping ratio (model.damping) falls below the floor is rejected.
     """
     floor = cfg.damping_floor
     layout = None  # the last call's; a new parts list gets a new one on the same work array
@@ -349,12 +348,10 @@ def _objective(arrays, cfg: SearchConfig):
             layout = _Layout(arrays, parts, None if layout is None else layout.work)
         beta, sse = layout.profile(points)
         if floor > 0.0:
-            m, omega = points[:, 1], points[:, 2]
-            # the undefined beta of rejected rows may overflow; their sse is inf
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                c = np.hypot(beta[:, 2], beta[:, 3])
-                damped = (c > 0.0) & (m * np.abs(beta[:, 1]) / (omega * c) < floor)
-            sse = np.where(damped, np.inf, sse)
+            # the undefined beta of rejected rows may give nan, never below the floor;
+            # their sse is inf anyway
+            sse = np.where(damping(points[:, 1], points[:, 2], *beta[:, 1:].T) < floor,
+                           np.inf, sse)
         return sse
 
     return func

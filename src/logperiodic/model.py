@@ -61,19 +61,24 @@ def evaluate(params: LpplsParams, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def damping(params: LpplsParams) -> float:
-    """m*|B| / (omega * sqrt(C1^2 + C2^2)).
+def damping(m, omega=None, B=None, C1=None, C2=None):
+    """m*|B| / (omega * sqrt(C1^2 + C2^2)) of an LpplsParams, or elementwise of arrays.
 
-    Values >= 1 keep the implied crash hazard rate non-negative. Returns
-    +inf when C1 = C2 = 0: without oscillations the hazard is trivially
-    non-negative, whatever B is.
+    damping(params) reads the five values of an LpplsParams and returns a
+    float; damping(m, omega, B, C1, C2) takes numbers or arrays that
+    broadcast and returns an array. Values >= 1 keep the implied crash
+    hazard rate non-negative. The ratio is +inf where C1 = C2 = 0: without
+    oscillations the hazard is trivially non-negative, whatever B is.
+    damping(params) raises DomainError for omega = 0; the array form gives
+    inf or nan there, and nan wherever a value is nan, without a warning.
     """
-    if params.omega == 0.0:
-        raise DomainError("damping is undefined for omega = 0")
-    c = math.hypot(params.C1, params.C2)
-    if c == 0.0:
-        return math.inf
-    return params.m * abs(params.B) / (abs(params.omega) * c)
+    if isinstance(m, LpplsParams):
+        if m.omega == 0.0:
+            raise DomainError("damping is undefined for omega = 0")
+        return float(damping(m.m, m.omega, m.B, m.C1, m.C2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = np.hypot(C1, C2)
+        return np.where(c == 0.0, np.inf, m * np.abs(B) / (np.abs(omega) * c))
 
 
 def phase_amplitude(params: LpplsParams) -> tuple[float, float]:
