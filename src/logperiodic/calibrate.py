@@ -5,6 +5,16 @@ closed-form least-squares solution via a 4x4 normal system; the remaining
 3-dimensional profiled cost is minimized with restarted CMA-ES inside the
 admissible box. The hazard-non-negativity (damping) condition is applied
 as a hard rejection during the search, not as a soft penalty.
+
+The search does not finish a fit alone: once a window's leading restart
+is the last one running and its step is below _HANDOFF box units, it
+stops, and a bounded Levenberg-Marquardt on the profiled residual vector
+(the variable-projection form of Filimonov and Sornette, Physica A 392,
+2013) takes the best point to its local minimum. A polished point is kept
+only when its cost is strictly lower and its damping ratio is at or above
+the floor. A window whose polish cannot finish the fit, for one that sat
+on the damping floor or on a flat ridge, is searched again without the
+handoff, as the search alone would have fitted it.
 """
 
 from __future__ import annotations
@@ -390,8 +400,133 @@ def fit(series: PriceSeries, window: Window, cfg: SearchConfig = SearchConfig())
 _FAR_BEHIND = 10.0
 
 
+# The handoff rule of the search (cmaes.minimize_problems): a window's lone
+# leader, its last running restart, stops once its step is below this many box
+# units, and the polish takes its best point on from there.
+_HANDOFF = 1e-3
+
+# The polish (_polish): its forward-difference step in box units, the relative
+# cost decrease at or below which an accepted step ends it, and its iteration
+# cap. Each iteration is one profile call of four rows a window.
+_POLISH_STEP = 1e-7
+_POLISH_TOL = 1e-12
+_POLISH_ITERATIONS = 100
+
+
+def _polish(arrays, lowers, uppers, starts):
+    """A projected Levenberg-Marquardt on each window's residual vector, from starts[i].
+
+    Window i, whose (t, y) is arrays[i], minimizes the sum of squares of its
+    profiled residuals y - X beta over (tc, m, omega) in the box [lowers[i],
+    uppers[i]], in box units and with Marquardt's diagonal scaling. The
+    Jacobian is a forward difference of _POLISH_STEP box units in each
+    coordinate, a backward one where the forward step would leave the box,
+    and a coordinate on a face stays there while the gradient points out of
+    the box. Each iteration is one _Layout.profile call for every unfinished
+    window, four rows a window: the trial point, then its three steps; the
+    residuals are those profile leaves in work row 4. A trial point is
+    accepted only when its cost is strictly lower, so the start, the first
+    trial, is kept unless something beats it; a rejected trial raises the
+    damping of the next. A window converges when an accepted step lowers its
+    cost by at most _POLISH_TOL relative, or when its next step is predicted
+    to lower it by no more than that; it also ends, unconverged, when a
+    difference step is inadmissible or after _POLISH_ITERATIONS iterations.
+
+    The damping floor plays no part in the iterations. Returns five arrays,
+    one entry a window: its last accepted point, the profiled cost and the
+    damping ratio there (model.damping of profile's beta, as the search's
+    objective reads it), the rows it evaluated, and whether it converged.
+    Every window takes the same steps alone as in any batch.
+    """
+    count = len(starts)
+    lower, upper = np.array(lowers, dtype=float), np.array(uppers, dtype=float)
+    width = upper - lower
+    x, trial = np.array(starts, dtype=float), np.array(starts, dtype=float)
+    cost, ratio = np.full(count, np.inf), np.full(count, np.nan)
+    grad, gauss = np.zeros((count, 3)), np.zeros((count, 3, 3))
+    lam, grow, predicted = np.full(count, 1e-3), np.full(count, 2.0), np.zeros(count)
+    evaluations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    layout = None
+    for _ in range(_POLISH_ITERATIONS):
+        parts = [(i, 4 * k, 4 * k + 4) for k, i in enumerate(active.tolist())]
+        if layout is None or parts != layout.parts:
+            layout = _Layout(arrays, parts, None if layout is None else layout.work)
+        at, w = trial[active], width[active]
+        ahead = at + _POLISH_STEP * w
+        stepped = np.where(ahead <= upper[active], ahead, at - _POLISH_STEP * w)
+        points = np.repeat(at[:, None, :], 4, axis=1)
+        points[:, [1, 2, 3], [0, 1, 2]] = stepped
+        beta, sse = layout.profile(points.reshape(-1, 3))
+        evaluations[active] += 4
+        sse = sse.reshape(-1, 4)
+        # the Jacobian's columns in box units: the actual steps, as rounded
+        scale = w / (stepped - at)
+        going = np.ones(active.size, dtype=bool)
+        for k, i in enumerate(active.tolist()):
+            if sse[k, 0] < cost[i]:
+                if math.isfinite(cost[i]):
+                    gain = (cost[i] - sse[k, 0]) / predicted[i]
+                    # Nielsen's update; the floor keeps the system positive definite
+                    lam[i] = max(lam[i] * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
+                    grow[i] = 2.0
+                    converged[i] = cost[i] - sse[k, 0] <= _POLISH_TOL * sse[k, 0]
+                x[i], cost[i] = at[k], sse[k, 0]
+                ratio[i] = damping(at[k, 1], at[k, 2], *beta[4 * k, 1:])
+                resid = layout.residuals[k][5]
+                going[k] = not converged[i] and bool(np.isfinite(sse[k, 1:]).all())
+                jac = (resid[1:] - resid[0]) * scale[k, :, None]
+                grad[i], gauss[i] = jac @ resid[0], jac @ jac.T
+            else:
+                lam[i] *= grow[i]
+                grow[i] *= 2.0
+        active = active[going]
+        if not active.size:
+            break
+        g, h, at = grad[active], gauss[active], x[active]
+        lo, hi, w = lower[active], upper[active], width[active]
+        # a coordinate on a face, within rounding of lower + width, stays there
+        # while the gradient points out of the box; one whose step would leave
+        # the box goes to its face, and the others' step is solved again
+        edge = 1e-12 * w
+        diag = h.diagonal(axis1=1, axis2=2)
+        held = (((at <= lo + edge) & (g > 0.0)) | ((at >= hi - edge) & (g < 0.0))
+                | ~(diag > 0.0))
+        system = h + lam[active, None, None] * (np.eye(3) * diag[:, None, :])
+        step = np.zeros_like(at)
+        for _face in range(3):
+            free = ~held
+            pinned = np.where(free[:, :, None] & free[:, None, :], system, np.eye(3))
+            moved = np.where(held, step, 0.0)
+            rhs = np.where(free, -g - (system @ moved[:, :, None])[:, :, 0], 0.0)
+            step = np.where(free, np.linalg.solve(pinned, rhs[:, :, None])[:, :, 0], step)
+            below, above = free & (at + step * w < lo), free & (at + step * w > hi)
+            if not (below | above).any():
+                break
+            step = np.where(below, (lo - at) / w, np.where(above, (hi - at) / w, step))
+            held |= below | above
+        trial[active] = np.clip(at + step * w, lo, hi)
+        step = (trial[active] - at) / w
+        predicted[active] = -(step * g).sum(axis=1) - 0.5 * np.einsum("ki,kij,kj->k", step, h, step)
+        # so does a step whose predicted gain is that small
+        ended = predicted[active] <= _POLISH_TOL * cost[active]
+        converged[active[ended]] = True
+        active = active[~ended]
+        if not active.size:
+            break
+    return x, cost, ratio, evaluations, converged
+
+
 def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list:
     """fit() of each window under cfg with seed seeds[i], as one lockstep search.
+
+    The search hands each window's lone leader off once its step is below
+    _HANDOFF, and _polish then finishes the fit from the window's best point.
+    A window whose polish does not finish it is searched again without the
+    handoff, in one more lockstep batch under fresh generators of its seed,
+    which repeats the search made without the rule bit for bit, and that
+    search's best is polished in turn. A FitResult counts the evaluations of
+    every search and polish of its window.
 
     Returns a FitResult or a FitFailedError per window, each equal to what
     fit() gives for that window alone; a window the search cannot take
@@ -406,24 +541,60 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         lowers.append([tc_lo + TC_GUARD, cfg.m_min, cfg.omega_min])
         uppers.append([tc_hi, cfg.m_max, cfg.omega_max])
 
-    searches = minimize_problems(
-        _objective(arrays, cfg),
-        lowers,
-        uppers,
-        popsize=cfg.population,
-        max_evals=cfg.max_evaluations,
-        restarts=cfg.restarts,
-        rngs=[np.random.default_rng(seed) for seed in seeds],
-        far_behind=_FAR_BEHIND,
-    )
+    def search(ids, handoff):
+        return minimize_problems(
+            _objective([arrays[i] for i in ids], cfg),
+            [lowers[i] for i in ids],
+            [uppers[i] for i in ids],
+            popsize=cfg.population,
+            max_evals=cfg.max_evaluations,
+            restarts=cfg.restarts,
+            rngs=[np.random.default_rng(seeds[i]) for i in ids],
+            far_behind=_FAR_BEHIND,
+            handoff=handoff,
+        )
+
+    def polished(ids, found):
+        """Window i's point, cost and evaluations after the search `found` and the polish,
+        and whether it needs another search: a fit whose polish did not finish it."""
+        out = {i: (f.x, f.cost, f.evaluations, False) for i, f in zip(ids, found)}
+        fitted = [(i, f) for i, f in zip(ids, found) if math.isfinite(f.cost)]
+        if fitted:
+            ends = _polish(*([part[i] for i, _ in fitted] for part in (arrays, lowers, uppers)),
+                           [f.x for _, f in fitted])
+            for (i, f), x, cost, ratio, spent, converged in zip(fitted, *ends):
+                taken = cost < f.cost and ratio >= cfg.damping_floor
+                # whether a point's tc lies on an end of its interval, within rounding
+                tc_end = (lambda tc, lo=lowers[i][0], hi=uppers[i][0]:
+                          min(tc - lo, hi - tc) <= 1e-12 * (hi - lo))
+                finished = taken and converged and (tc_end(f.x[0]) or not tc_end(x[0]))
+                out[i] = ((x, cost) if taken else (f.x, f.cost)) + (
+                    f.evaluations + int(spent), not finished)
+        return out
+
+    every = range(len(windows))
+    done = polished(every, search(every, _HANDOFF))
+    # A polish that found nothing lower, did not converge, ended below the
+    # damping floor or ran tc onto an end of its interval that the search's best
+    # was not on did not finish its fit. Its leader sat on the floor, where the
+    # search creeps along it and the polish cannot follow, or on a ridge too flat
+    # for it, as the m = 1 fits with a vanishing oscillation are, where tc is all
+    # but free and the search can still travel far. Such a window is searched
+    # again without the handoff, that search's polish taken wherever it lowers
+    # the cost admissibly.
+    again = [i for i in every if done[i][3]]
+    if again:
+        for i, (x, cost, evaluations, _) in polished(again, search(again, None)).items():
+            done[i] = (x, cost, evaluations + done[i][2], False)
     results = []
-    for window, (t, y), found in zip(windows, arrays, searches):
-        if math.isfinite(found.cost):
-            tc, m, omega = found.x
-            results.append(_result_at(t, y, tc, m, omega, found.evaluations))
+    for window, (t, y), i in zip(windows, arrays, every):
+        x, cost, evaluations, _ = done[i]
+        if math.isfinite(cost):
+            tc, m, omega = x
+            results.append(_result_at(t, y, tc, m, omega, evaluations))
         else:
             results.append(FitFailedError(
                 f"no admissible fit in window [{window.t1}, {window.t2}] "
-                f"({found.evaluations} evaluations)", found.evaluations
+                f"({evaluations} evaluations)", evaluations
             ))
     return results

@@ -14,10 +14,11 @@ all running runs as one (k, n) array, each problem's rows contiguous and
 in problem order, together with the row range of each problem. A run
 ends when its evaluation budget is spent, when its step size diverges,
 on one of the two termination criteria of Hansen, "The CMA Evolution
-Strategy: A Tutorial" (arXiv:1604.00772), or on one of the three rules
+Strategy: A Tutorial" (arXiv:1604.00772), on one of the three rules
 between runs: when it cannot catch up with a sibling run, when it has
 reached a better sibling's basin, or, where the caller asks for it, when
-it is still far behind a sibling:
+it is still far behind a sibling, or, where the caller asks for it too,
+when it is handed off:
 
 - TolFun: the best values of the last 10 + ceil(30 n / lambda) generations
   and all values of the current generation span less than _TOL_FUN. A span
@@ -43,15 +44,24 @@ it is still far behind a sibling:
   value is more than far_behind times the leader's. A ratio of raw values
   is meaningful only for an objective that is never negative, and unlike
   the other rules it changes its decisions when f becomes a f + b.
+- Handoff (off unless the caller passes handoff): the run is a lone
+  leader, the last running run of its problem that trails no other run,
+  its best value is finite, and its step, TolX's sigma * spread in box
+  units, is below handoff. The caller finishes the minimization from the
+  returned best point: a local method converges faster than the last
+  generations of the search, which only shrink the step. This is the one
+  rule that stops a leader, and with restarts = 1 the one run is a lone
+  leader from the start.
 
-These three are the only criteria that read other runs, and only those of
-the same problem. All three stop only a run that trails its
-leader. A stopped run's best never changes and a running run's only
-falls, so a run that is the last one running of its problem and does not
-trail never trails again: once every problem with runs going is down to
-such a run, the search skips these three rules for good, which moves no
-bit. A last running run that trails, behind a leader stopped by TolFun,
-say, is still stopped by them.
+The three rules between runs and the handoff are the only criteria that
+read other runs, and only those of the same problem. The three stop only
+a run that trails its leader. A stopped run's best never changes and a
+running run's only falls, so a run that is the last one running of its
+problem and does not trail never trails again: once every problem with
+runs going is down to such a run, each a lone leader, the search skips
+the three rules for good, which moves no bit. A last running run that
+trails, behind a leader stopped by TolFun, say, is still stopped by them,
+and never by the handoff.
 
 Everything is driven by caller-supplied numpy Generators, one per problem:
 identical generators give bit-identical runs, alone or in any batch.
@@ -102,7 +112,7 @@ class CmaResult:
 
 
 def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
-                      far_behind=None) -> list[CmaResult]:
+                      far_behind=None, handoff=None) -> list[CmaResult]:
     """Minimize problem p of func over its box [lowers[p], uppers[p]] with restarted CMA-ES.
 
     The problems share the dimension, population, budget and restart count;
@@ -127,21 +137,26 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
     max_evals objective evaluations and stops early on TolFun, TolX, a
     diverging step size, when it cannot catch up with a strictly better
     run of its own problem, when its best point lies within _SAME_BASIN
-    of the best point of such a run, the leader of its problem, or, given
+    of the best point of such a run, the leader of its problem, given
     far_behind, when from TolFun's history length on its best value is
-    more than far_behind times its leader's; a stopped run leaves the
-    batch. Under these rules the generation at which a trailing run stops
-    depends on the other runs of its problem, so adding restarts can end
-    a run earlier; the leading run of each problem always finishes, and
-    with restarts = 1 none of them fires.
+    more than far_behind times its leader's, or, given handoff, when it is
+    the lone leader of its problem and its step is below handoff box units;
+    a stopped run leaves the batch. Under these rules the generation at
+    which a trailing run stops depends on the other runs of its problem,
+    so adding restarts can end a run earlier; without handoff the leading
+    run of each problem always finishes, and with restarts = 1 none of the
+    rules between runs fires.
     far_behind reads a ratio of objective values, so it is for an
     objective that is never negative, a sum of squares say; None, the
     default, leaves the rule off, and every decision of the search then
-    stays the same when the objective becomes a f + b with a > 0.
+    stays the same when the objective becomes a f + b with a > 0. handoff
+    is for a caller that polishes the result; None, the default, leaves
+    that rule off.
     popsize, max_evals and restarts are integers of at least 2, 1 and 1;
     there is at least one problem, one generator per problem and bounds of
     one shape (problems, dimension), finite with lower < upper; far_behind
-    is None or a finite number > 1. ValidationError otherwise.
+    is None or a finite number > 1, and handoff None or a finite number
+    > 0. ValidationError otherwise.
     """
     for name, value, least in (("popsize", popsize, 2), ("max_evals", max_evals, 1),
                                ("restarts", restarts, 1)):
@@ -165,6 +180,9 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
     if far_behind is not None and not (isinstance(far_behind, numbers.Real)
                                        and math.isfinite(far_behind) and far_behind > 1):
         raise ValidationError(f"far_behind must be None or a finite number > 1, got {far_behind!r}")
+    if handoff is not None and not (isinstance(handoff, numbers.Real)
+                                    and math.isfinite(handoff) and handoff > 0):
+        raise ValidationError(f"handoff must be None or a finite number > 0, got {handoff!r}")
     # Runs along a leading axis, grouped by problem: run i belongs to problem i // restarts.
     lower = np.repeat(lowers, restarts, axis=0)
     width = np.repeat(uppers - lowers, restarts, axis=0)
@@ -291,7 +309,8 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
         # diverging step size, nan and inf included, fails sigma <= 1e6.
         spread = np.maximum(np.abs(p_c).max(axis=1),
                             np.sqrt(np.diagonal(cov, axis1=1, axis2=2).max(axis=1)))
-        stop = (sigma * spread < tol_x) | ~(sigma <= 1e6)
+        step = sigma * spread
+        stop = (step < tol_x) | ~(sigma <= 1e6)
         recent_best[:, (gen - 1) % history] = fitness[rows, order[:, 0]]
         # inf - inf is nan where a run holds a rejected value or has no finite
         # best, and nan fails every comparison: it neither converges nor stalls
@@ -322,6 +341,11 @@ def minimize_problems(func, lowers, uppers, popsize, max_evals, restarts, rngs,
                 past_best[:, slot] = now
                 # same basin: behind the leader, with its best point next to the leader's
                 stop |= trailing & (np.abs(best_x[ids] - best_x[lead]).max(axis=1) < _SAME_BASIN)
+        if handoff is not None:
+            # handoff: a lone leader, the last running run of its problem that trails
+            # no other run, with an admissible best and a step below handoff
+            lone = settled or ((np.bincount(owner)[owner] == 1) & ~trailing)
+            stop |= lone & (now < np.inf) & (step < handoff)
         if stop.any():
             used[ids[stop]] = evals
             keep = ~stop

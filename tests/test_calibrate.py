@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,50 @@ from logperiodic import (
     cost,
     fit,
     generate,
+    ingest,
     linear_solve,
+    window_seed,
 )
+from logperiodic import calibrate
 from logperiodic.calibrate import TC_GUARD, _fit_windows
+from logperiodic.cmaes import minimize_problems
 from conftest import bubble_params, rng_for
 from oracles import dense_normal_solve, grid_oracle, residual_sum_of_squares
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
+
+
+def _desk(kind, seed):
+    """The benchmark's seeded bubble or null series, read through ingest."""
+    make = inputs.bubble_log_prices if kind == "bubble" else inputs.null_log_prices
+    return ingest(inputs.csv_text(make(seed)))
+
+
+def _search(series, window, seed, handoff):
+    """The search of fit(series, window) under `seed`, with the handoff rule or without it."""
+    cfg = SearchConfig()
+    tc_lo, tc_hi = cfg.tc_bounds(window)
+    box = ([tc_lo + TC_GUARD, cfg.m_min, cfg.omega_min], [tc_hi, cfg.m_max, cfg.omega_max])
+    arrays = [calibrate._window_arrays(series, window)]
+    found = minimize_problems(calibrate._objective(arrays, cfg), [box[0]], [box[1]],
+                              popsize=cfg.population, max_evals=cfg.max_evaluations,
+                              restarts=cfg.restarts, rngs=[np.random.default_rng(seed)],
+                              far_behind=calibrate._FAR_BEHIND, handoff=handoff)[0]
+    return found, arrays, box
+
+
+def _recording_polish(monkeypatch):
+    """Each call of calibrate._polish from here on: its start points and what it returned."""
+    calls, polish = [], calibrate._polish
+
+    def recording(arrays, lowers, uppers, starts):
+        ends = polish(arrays, lowers, uppers, starts)
+        calls.append((np.array(starts), ends))
+        return ends
+
+    monkeypatch.setattr(calibrate, "_polish", recording)
+    return calls
 
 
 def test_window_validation():
@@ -216,7 +257,7 @@ def test_failed_fit_carries_its_evaluation_count(exact_bubble):
     assert str(caught.value).endswith(f"({caught.value.evaluations} evaluations)")
 
 
-def test_chunked_fits_equal_single_fits(strong_bubble):
+def test_chunked_fits_equal_single_fits(strong_bubble, monkeypatch):
     # With m >= 4 every candidate of the 200-point window is rejected, whatever
     # its tc, m, omega and the data: the first pivot of its normal matrix is
     # the window length 200, and the second is sum((f - mean f)^2) >=
@@ -237,6 +278,52 @@ def test_chunked_fits_equal_single_fits(strong_bubble):
     assert [type(r) for r in chunk] == [type(r) for r in alone]
     assert chunk[1:] == alone[1:]  # params, cost and evaluations, bit for bit
     assert str(chunk[0]) == str(alone[0])
+    # a chunk whose first window's polish ends below the damping floor: that
+    # window alone is searched again, and every result is still fit()'s
+    series = _desk("bubble", 6)
+    windows = [Window(667 - length + 1, 667) for length in (30, 92, 154)]
+    seeds = [window_seed(6, 667, w.length) for w in windows]
+    polishes = _recording_polish(monkeypatch)
+    chunk = _fit_windows(series, windows, SearchConfig(), seeds)
+    assert [len(starts) for starts, _ in polishes] == [3, 1]
+    assert chunk == [fit(series, w, SearchConfig(seed=seed)) for w, seed in zip(windows, seeds)]
+
+
+def test_polish_keeps_a_null_fit_on_the_m_face_and_lowers_its_cost():
+    # the null series' leader is pinned at m = 1 when the handoff ends its search;
+    # the polish moves tc and omega, keeps m on its face and lowers the cost by 6%
+    series, window = _desk("null", 7), Window(663 - 123 + 1, 663)
+    seed = window_seed(7, 663, 123)
+    handed, arrays, (lower, upper) = _search(series, window, seed, calibrate._HANDOFF)
+    assert handed.x[1] == 1.0
+    (x,), (cost,), (ratio,), (spent,), (converged,) = calibrate._polish(
+        arrays, [lower], [upper], [handed.x])
+    assert x[1] == 1.0 and converged and ratio >= 1.0
+    assert cost < 0.95 * handed.cost
+    # fit() takes the polished point, and counts the polish's evaluations
+    result = fit(series, window, SearchConfig(seed=seed))
+    assert [result.params.tc, result.params.m, result.params.omega] == x.tolist()
+    assert result.cost < 0.95 * handed.cost
+    assert result.evaluations == handed.evaluations + spent
+
+
+def test_window_whose_polish_ends_below_the_floor_is_searched_again(monkeypatch):
+    # this bubble window's leader sits on the damping floor: its polish goes
+    # through the floor, so the window is searched again without the handoff.
+    # That search is the one made without the rule, bit for bit, and its
+    # result is polished in turn; the evaluations count both searches and
+    # both polishes
+    series, window = _desk("bubble", 6), Window(667 - 30 + 1, 667)
+    seed = window_seed(6, 667, 30)
+    polishes = _recording_polish(monkeypatch)
+    result = fit(series, window, SearchConfig(seed=seed))
+    handed, _, _ = _search(series, window, seed, calibrate._HANDOFF)
+    plain, _, _ = _search(series, window, seed, None)
+    (first, ends), (second, again) = polishes
+    assert np.array_equal(first, [handed.x]) and ends[2][0] < 1.0
+    assert np.array_equal(second, [plain.x])
+    assert result.evaluations == handed.evaluations + ends[3][0] + plain.evaluations + again[3][0]
+    assert result.cost <= plain.cost
 
 
 def test_scale_covariance(exact_bubble):

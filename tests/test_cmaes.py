@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from logperiodic import SearchConfig, ValidationError, Window, fit
+from logperiodic import cmaes
 from logperiodic.cmaes import minimize_box, minimize_problems
 
 LO, HI = np.zeros(3), np.ones(3)
@@ -448,6 +450,79 @@ def test_far_behind_leaves_a_single_restart_alone():
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _recorded(objective, seed, restarts=1, **options):
+    """Every call of a one-problem search of `objective`, and its result."""
+    calls = []
+
+    def func(points, parts):
+        calls.append(np.array(points))
+        return objective(points)
+
+    found = minimize_problems(func, [LO], [HI], popsize=7, max_evals=2000, restarts=restarts,
+                              rngs=[np.random.default_rng(seed)], **options)[0]
+    return calls, found
+
+
+@pytest.mark.parametrize("objective, seed", [(_two_wells, 0), (_rough_well, 4), (_population, 2)])
+def test_lone_leader_is_handed_off_at_its_first_step_below_the_constant(objective, seed, monkeypatch):
+    # the handoff reads TolX's step, sigma * spread in box units: a single run, a
+    # lone leader throughout, makes the same calls under handoff = h as under a
+    # TolX threshold of h (h / sigma0 relative to the initial step 1/4), and
+    # stops well before the search without it
+    handed, found = _recorded(objective, seed, handoff=1e-3)
+    plain, _ = _recorded(objective, seed)
+    monkeypatch.setattr(cmaes, "_TOL_X", 1e-3 / 0.25)
+    tolx, same = _recorded(objective, seed)
+    assert len(handed) == len(tolx) < len(plain) - 10
+    assert all(np.array_equal(a, b) for a, b in zip(handed, tolx))
+    assert (found.cost, found.evaluations) == (same.cost, same.evaluations)
+
+
+def _mesa(xs):
+    """0 on a flat mesa around the box center; elsewhere a rough slope floored near 1."""
+    e = xs - (0.9, 0.1, 0.9)
+    return np.where(np.abs(xs - 0.5).max(axis=1) < 0.2, 0.0,
+                    1.0 + np.sum(e * e, axis=1) + 1e-3 * ((xs @ _ROUGH) % 1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 19])
+def test_trailing_run_is_never_handed_off(seed):
+    # the run on the mesa leads, and TolFun ends it after one history; the other
+    # still runs off the mesa, alone and behind it. Under a handoff at any step it
+    # runs on as it does without one, call for call
+    handed, found = _recorded(_mesa, seed, restarts=2, handoff=1e9)
+    plain, _ = _recorded(_mesa, seed, restarts=2)
+    alone = [p for p in plain[1:] if len(p) == 7]
+    assert alone and all((_mesa(p) > 0.0).all() for p in alone)
+    assert len(handed) == len(plain)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, plain))
+    assert found.cost == 0.0
+
+
+def test_no_handoff_makes_the_calls_of_the_search_without_the_rule():
+    # handoff=None, the default: two problems of three restarts make the objective
+    # calls, bit for bit, of the search from before the rule existed
+    out = []
+    for objective, far_behind in ((_two_wells, None), (_trench, 10.0), (_rough_well, None)):
+        calls = []
+
+        def func(points, parts, objective=objective):
+            calls.append(np.array(points))
+            return _each(objective, objective)(points, parts)
+
+        found = minimize_problems(func, [LO, LO], [HI, HI], popsize=7, max_evals=2000, restarts=3,
+                                  rngs=[np.random.default_rng(3), np.random.default_rng(4)],
+                                  far_behind=far_behind, handoff=None)
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in calls)).hexdigest()[:16]
+        out.append((len(calls), [f.cost.hex() for f in found], [f.evaluations for f in found],
+                    digest))
+    assert out == [
+        (114, ["0x1.38522d74625d1p-52", "0x1.839b90652d07ap-51"], [1214, 1284], "e13347525c31f93e"),
+        (110, ["0x1.8b5a0c72bb554p-55", "0x1.8b8035da014d8p-54"], [1053, 1088], "acd0b1310dbee425"),
+        (286, ["0x1.000141ab6dfb6p+0", "0x1.0000408b1c362p+0"], [2439, 2593], "69723919ef1a2cf3"),
+    ]
+
+
 def _search(**change):
     """A two-problem minimize_problems call with `change` applied to its arguments."""
     args = {"func": _each(_population, _population), "lowers": [LO, LO], "uppers": [HI, HI],
@@ -475,6 +550,8 @@ def _search(**change):
      "problem 0: bounds must be finite with lower < upper, got [-inf, 0.0, 0.0] and [1.0, 1.0, 1.0]"),
     ({"far_behind": 1.0}, "far_behind must be None or a finite number > 1, got 1.0"),
     ({"far_behind": 0.5}, "far_behind must be None or a finite number > 1, got 0.5"),
+    ({"handoff": 0.0}, "handoff must be None or a finite number > 0, got 0.0"),
+    ({"handoff": math.inf}, "handoff must be None or a finite number > 0, got inf"),
     ({"far_behind": math.inf}, "far_behind must be None or a finite number > 1, got inf"),
     ({"far_behind": math.nan}, "far_behind must be None or a finite number > 1, got nan"),
     ({"far_behind": "10"}, "far_behind must be None or a finite number > 1, got '10'"),
@@ -500,24 +577,27 @@ def test_least_settings_of_a_search_run():
 
 
 def test_single_restart_fit_is_pinned(strong_bubble):
-    # with one restart every run leads its problem, so no rule between
-    # runs fires; the evaluations are those of the fit before any rule
-    # between restarts existed, the cost is the LDL^T kernel's
+    # with one restart no rule between runs fires, but the one run is a lone
+    # leader: the handoff ends its search once its step is below 1e-3, and
+    # the polish finishes the fit. The search alone made 967 evaluations and
+    # reached 0x1.287bb3282fe42p-9; the polish stops within 1e-12 of it
     _, series = strong_bubble
     res = fit(series, Window(300, 419), SearchConfig(seed=5, restarts=1))
-    assert res.evaluations == 967
-    assert res.cost.hex() == "0x1.287bb3282fe42p-9"
+    assert res.evaluations == 444
+    assert res.cost.hex() == "0x1.287bb328319edp-9"
 
 
 def test_default_restart_fit_is_pinned(strong_bubble):
     # all five restarts: at generation 23, one TolFun history, runs 0-3 are each
     # more than ten times behind run 4 and stop by the far-behind rule that fit
-    # turns on; run 4, the leader, goes on until TolFun ends it. A change to the
-    # restart bookkeeping that moves one bit of the search fails here
+    # turns on; run 4, the leader, goes on until the handoff ends it (TolFun
+    # did, after 1552 evaluations, before the handoff), and the polish finishes
+    # the fit. A change to the restart bookkeeping that moves one bit of the
+    # search fails here
     _, series = strong_bubble
     res = fit(series, Window(300, 419), SearchConfig(seed=5))
-    assert res.evaluations == 1552
-    assert res.cost.hex() == "0x1.287bb32830038p-9"
+    assert res.evaluations == 1062
+    assert res.cost.hex() == "0x1.287bb32831b4fp-9"
 
 
 def test_restart_streams_nest():

@@ -22,10 +22,13 @@ the windows whose qualification or fit success differs, the endpoints whose
 (pos, neg) counts differ, the bit-equal costs, each endpoint group's mean
 evaluations per window and seconds with the median and quartiles of its
 per-endpoint ratios b/a, under it the group's work (the sum of evaluations
-x window length, the kernel's work as a count that repeats exactly), the
-costs risen by more than 1e-9 relative and the largest relative cost
-change. Both group lines count every window whose evaluations are known,
-failed fits included: a failed fit spends its whole budget.
+x window length, the kernel's work as a count that repeats exactly) and
+its cost changes in bands: how many windows' costs rose and how many fell
+by more than 1e-9, 1e-6 and 1e-3 relative, each window beyond 1e-9 listed.
+Last comes the largest relative cost change. The evaluation and work lines
+count every window whose evaluations both trees know, failed fits
+included: a failed fit spends its whole budget, and a tree whose
+FitFailedError carries no count records None for it.
 
 Timing pairs. Pair i of N (`--pairs`, default 10; 0 runs none) reads series
 seed K + i (`--seed`, default 1):
@@ -72,6 +75,8 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
 import inputs  # noqa: E402
 
+# relative cost changes at which the drift report counts a rise or a fall
+BANDS = ("1e-9", "1e-6", "1e-3")
 # window sets: (series kind, seeds, endpoints, window step) per group
 SETS = {
     "desk": (
@@ -187,20 +192,24 @@ def report(a: list, b: list) -> list[str]:
     for ea, eb in zip(a, b):
         groups.setdefault((ea["endpoint"][0], ea["endpoint"][2]), []).append((ea, eb))
     for (kind, t2), group in groups.items():
-        evals = [statistics.fmean(w["evaluations"] for e in side for w in e["windows"]
-                                  if w["evaluations"] is not None) for side in zip(*group)]
+        # the windows whose evaluations both trees know
+        known = [(wa, wb) for ea, eb in group for wa, wb in zip(ea["windows"], eb["windows"])
+                 if wa["evaluations"] is not None and wb["evaluations"] is not None]
+        evals = [statistics.fmean(w["evaluations"] for w in side) for side in zip(*known)]
+        work = [sum(w["evaluations"] * w["length"] for w in side) for side in zip(*known)]
         seconds = [sum(e["seconds"] for e in side) for side in zip(*group)]
         ratio = spread([eb["seconds"] / ea["seconds"] for ea, eb in group])
-        work = [sum(w["evaluations"] * w["length"] for e in side for w in e["windows"]
-                    if w["evaluations"] is not None) for side in zip(*group)]
         lines.append(f"  {kind} t2={t2}: {evals[0]:.0f} -> {evals[1]:.0f} "
                      f"({evals[1] / evals[0]:.3f}x); {seconds[0]:.3f} -> {seconds[1]:.3f} s, "
                      f"{ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
         lines.append(f"    work, evaluations x window length: {work[0]} -> {work[1]} "
                      f"({work[1] / work[0]:.3f}x)")
-    rose = [(rel, r) for rel, r in changes if rel > 1e-9]
-    lines.append(f"costs risen by more than 1e-9 relative: {len(rose)}")
-    lines += [f"  {r['endpoint']} n={r['length']}: +{rel:.3g}" for rel, r in rose]
+        moved = [(rel, r) for rel, r in changes
+                 if (r["endpoint"][0], r["endpoint"][2]) == (kind, t2) and abs(rel) > float(BANDS[0])]
+        lines.append("    costs risen / fallen, relative: " + ", ".join(
+            f"> {band} {sum(rel > float(band) for rel, _ in moved)} / "
+            f"{sum(rel < -float(band) for rel, _ in moved)}" for band in BANDS))
+        lines += [f"      {r['endpoint']} n={r['length']}: {rel:+.3g}" for rel, r in moved]
     if changes:
         rel, r = max(changes, key=lambda c: abs(c[0]))
         lines.append(f"largest relative cost change: {rel:+.3g} ({r['endpoint']} n={r['length']})")
@@ -324,10 +333,18 @@ def timing_report(readings: dict, differ: list) -> list[str]:
 
 
 def exit_status(a: list, b: list, differ: list) -> int:
-    """0 when the two trees' window records and every measure's results are equal, else 1."""
-    def fits(records):
-        return [(e["endpoint"], e["windows"]) for e in records]
-    return int(fits(a) != fits(b) or bool(differ))
+    """0 when the two trees' window records and every measure's results are equal, else 1.
+
+    An evaluation count that one tree does not know (None) is left out on both sides.
+    """
+    def known(w, other):
+        return {k: v for k, v in w.items()
+                if k != "evaluations" or None not in (v, other["evaluations"])}
+    same = len(a) == len(b) and all(
+        ea["endpoint"] == eb["endpoint"] and len(ea["windows"]) == len(eb["windows"])
+        and all(known(wa, wb) == known(wb, wa) for wa, wb in zip(ea["windows"], eb["windows"]))
+        for ea, eb in zip(a, b))
+    return int(not same or bool(differ))
 
 
 def setting(text: str) -> tuple[str, str]:
