@@ -473,7 +473,7 @@ def _polish(arrays, lowers, uppers, starts):
                     converged[i] = cost[i] - sse[k, 0] <= _POLISH_TOL * sse[k, 0]
                 x[i], cost[i] = at[k], sse[k, 0]
                 ratio[i] = damping(at[k, 1], at[k, 2], *beta[4 * k, 1:])
-                resid = layout.residuals[k][5]
+                resid = layout.residuals[k][5]  # work row 4: the point's residuals, then its steps'
                 going[k] = not converged[i] and bool(np.isfinite(sse[k, 1:]).all())
                 jac = (resid[1:] - resid[0]) * scale[k, :, None]
                 grad[i], gauss[i] = jac @ resid[0], jac @ jac.T
@@ -554,6 +554,11 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
             handoff=handoff,
         )
 
+    def tc_end(i, tc):
+        """Whether tc lies on an end of window i's tc interval, within rounding."""
+        lo, hi = lowers[i][0], uppers[i][0]
+        return min(tc - lo, hi - tc) <= 1e-12 * (hi - lo)
+
     def polished(ids, found):
         """Window i's point, cost and evaluations after the search `found` and the polish,
         and whether it needs another search: a fit whose polish did not finish it."""
@@ -564,10 +569,7 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
                            [f.x for _, f in fitted])
             for (i, f), x, cost, ratio, spent, converged in zip(fitted, *ends):
                 taken = cost < f.cost and ratio >= cfg.damping_floor
-                # whether a point's tc lies on an end of its interval, within rounding
-                tc_end = (lambda tc, lo=lowers[i][0], hi=uppers[i][0]:
-                          min(tc - lo, hi - tc) <= 1e-12 * (hi - lo))
-                finished = taken and converged and (tc_end(f.x[0]) or not tc_end(x[0]))
+                finished = taken and converged and (tc_end(i, f.x[0]) or not tc_end(i, x[0]))
                 out[i] = ((x, cost) if taken else (f.x, f.cost)) + (
                     f.evaluations + int(spent), not finished)
         return out
@@ -587,7 +589,7 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         for i, (x, cost, evaluations, _) in polished(again, search(again, None)).items():
             done[i] = (x, cost, evaluations + done[i][2], False)
     results = []
-    for window, (t, y), i in zip(windows, arrays, every):
+    for i, (window, (t, y)) in enumerate(zip(windows, arrays)):
         x, cost, evaluations, _ = done[i]
         if math.isfinite(cost):
             tc, m, omega = x

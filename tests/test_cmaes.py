@@ -550,11 +550,11 @@ def _search(**change):
      "problem 0: bounds must be finite with lower < upper, got [-inf, 0.0, 0.0] and [1.0, 1.0, 1.0]"),
     ({"far_behind": 1.0}, "far_behind must be None or a finite number > 1, got 1.0"),
     ({"far_behind": 0.5}, "far_behind must be None or a finite number > 1, got 0.5"),
-    ({"handoff": 0.0}, "handoff must be None or a finite number > 0, got 0.0"),
-    ({"handoff": math.inf}, "handoff must be None or a finite number > 0, got inf"),
     ({"far_behind": math.inf}, "far_behind must be None or a finite number > 1, got inf"),
     ({"far_behind": math.nan}, "far_behind must be None or a finite number > 1, got nan"),
     ({"far_behind": "10"}, "far_behind must be None or a finite number > 1, got '10'"),
+    ({"handoff": 0.0}, "handoff must be None or a finite number > 0, got 0.0"),
+    ({"handoff": math.inf}, "handoff must be None or a finite number > 0, got inf"),
 ])
 def test_searches_it_cannot_run_are_rejected(change, message):
     with pytest.raises(ValidationError) as caught:
