@@ -559,19 +559,29 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
         lo, hi = lowers[i][0], uppers[i][0]
         return min(tc - lo, hi - tc) <= 1e-12 * (hi - lo)
 
+    polishes = {}  # window: the point its last polish started from, and that polish's end
+
     def polished(ids, found):
         """Window i's point, cost and evaluations after the search `found` and the polish,
-        and whether it needs another search: a fit whose polish did not finish it."""
+        and whether it needs another search: a fit whose polish did not finish it.
+
+        A search that ends on the point an earlier polish of its window started
+        from, bit for bit, reuses that polish: it would take the same steps."""
         out = {i: (f.x, f.cost, f.evaluations, False) for i, f in zip(ids, found)}
         fitted = [(i, f) for i, f in zip(ids, found) if math.isfinite(f.cost)]
-        if fitted:
-            ends = _polish(*([part[i] for i, _ in fitted] for part in (arrays, lowers, uppers)),
-                           [f.x for _, f in fitted])
-            for (i, f), x, cost, ratio, spent, converged in zip(fitted, *ends):
-                taken = cost < f.cost and ratio >= cfg.damping_floor
-                finished = taken and converged and (tc_end(i, f.x[0]) or not tc_end(i, x[0]))
-                out[i] = ((x, cost) if taken else (f.x, f.cost)) + (
-                    f.evaluations + int(spent), not finished)
+        fresh = {i: f for i, f in fitted
+                 if i not in polishes or not np.array_equal(polishes[i][0], f.x)}
+        if fresh:
+            ends = _polish(*([part[i] for i in fresh] for part in (arrays, lowers, uppers)),
+                           [f.x for f in fresh.values()])
+            for (i, f), *end in zip(fresh.items(), *ends):
+                polishes[i] = (f.x, end)
+        for i, f in fitted:
+            x, cost, ratio, spent, converged = polishes[i][1]
+            spent = int(spent) if i in fresh else 0
+            taken = cost < f.cost and ratio >= cfg.damping_floor
+            finished = taken and converged and (tc_end(i, f.x[0]) or not tc_end(i, x[0]))
+            out[i] = ((x, cost) if taken else (f.x, f.cost)) + (f.evaluations + spent, not finished)
         return out
 
     every = range(len(windows))
