@@ -10,11 +10,13 @@ The search does not finish a fit alone: once a window's leading restart
 is the last one running and its step is below _HANDOFF box units, it
 stops, and a bounded Levenberg-Marquardt on the profiled residual vector
 (the variable-projection form of Filimonov and Sornette, Physica A 392,
-2013) takes the best point to its local minimum. A polished point is kept
-only when its cost is strictly lower and its damping ratio is at or above
-the floor. A window whose polish cannot finish the fit, for one that sat
-on the damping floor or on a flat ridge, is searched again without the
-handoff, as the search alone would have fitted it.
+2013) takes the best point to its local minimum. The polish keeps the
+damping floor as the search does, accepting a point only when its cost is
+strictly lower and its ratio at or above the floor, and treats the floor
+as one more inequality on (tc, m, omega) beside the box: a leader on the
+floor slides along it to the constrained minimum. A window whose polish
+cannot finish the fit, for one on a ridge too flat for it, is searched
+again without the handoff, as the search alone would have fitted it.
 """
 
 from __future__ import annotations
@@ -411,41 +413,70 @@ _HANDOFF = 1e-3
 _POLISH_STEP = 1e-7
 _POLISH_TOL = 1e-12
 _POLISH_ITERATIONS = 100
+# How far above the damping floor, relative, a step on the floor aims: about a
+# hundred times the rounding of the ratio on the desk windows (1e-12).
+_FLOOR_MARGIN = 1e-10
 
 
-def _polish(arrays, lowers, uppers, starts):
+def _polish(arrays, lowers, uppers, starts, floor):
     """A projected Levenberg-Marquardt on each window's residual vector, from starts[i].
 
     Window i, whose (t, y) is arrays[i], minimizes the sum of squares of its
     profiled residuals y - X beta over (tc, m, omega) in the box [lowers[i],
-    uppers[i]], in box units and with Marquardt's diagonal scaling. The
-    Jacobian is a forward difference of _POLISH_STEP box units in each
-    coordinate, a backward one where the forward step would leave the box,
-    and a coordinate on a face stays there while the gradient points out of
-    the box. Each iteration is one _Layout.profile call for every unfinished
-    window, four rows a window: the trial point, then its three steps; the
-    residuals are those profile leaves in work row 4. A trial point is
-    accepted only when its cost is strictly lower, so the start, the first
-    trial, is kept unless something beats it; a rejected trial raises the
-    damping of the next. A window converges when an accepted step lowers its
-    cost by at most _POLISH_TOL relative, or when its next step is predicted
-    to lower it by no more than that; it also ends, unconverged, when a
-    difference step is inadmissible or after _POLISH_ITERATIONS iterations.
+    uppers[i]], in box units and with Marquardt's diagonal scaling, with its
+    damping ratio at or above the floor. The Jacobian is a forward difference
+    of _POLISH_STEP box units in each coordinate, a backward one where the
+    forward step would leave the box, and a coordinate on a face stays there
+    while the gradient points out of the box. Each iteration is one
+    _Layout.profile call for every unfinished window, four rows a window: the
+    trial point, then its three steps. The residuals are those profile leaves
+    in work row 4; the damping ratio of each row is model.damping of
+    profile's beta, as the search's objective reads it, so the ratio's
+    gradient is a difference of the same rows. A trial point is accepted
+    only when its cost is strictly lower and its ratio is at or above the
+    floor, so the start, the first trial, is kept unless something beats it;
+    a rejected trial raises the damping of the next.
 
-    The damping floor plays no part in the iterations. Returns five arrays,
-    one entry a window: its last accepted point, the profiled cost and the
-    damping ratio there (model.damping of profile's beta, as the search's
-    objective reads it), the rows it evaluated, and whether it converged.
-    Every window takes the same steps alone as in any batch.
+    The floor joins the faces as a constraint of the step once a trial with
+    a lower cost has fallen below it; until then the window takes the same
+    steps as without a floor. From then on a step whose linearised ratio
+    falls short of the floor (aimed _FLOOR_MARGIN relative above it) is
+    solved again by _floor_step, which holds it on the floor's tangent plane
+    with one multiplier where that is the least step, and lets it go where
+    the multiplier says the cost falls off the floor. That step's quadratic
+    is the Lagrangian's, the cost's plus the multiplier times the ratio's
+    bend, and the step is lifted along the ratio's gradient by what the bend
+    takes from the ratio over its length: the bend is the most recent
+    trial's shortfall against its linearised ratio over its squared length,
+    taken as the same in every direction. A trial with a lower cost that the
+    ratio's curvature still put below the floor is moved back once, along
+    the ratio's gradient at the trial, before the damping is raised: a
+    second-order correction (Nocedal and Wright, "Numerical Optimization",
+    2nd ed., sections 15.6 and 18.3).
+
+    A window converges when an accepted step lowers its cost by at most
+    _POLISH_TOL relative, or when its next step is predicted to lower it by
+    no more than that, the floor in play or not; it also ends, unconverged,
+    when a difference step is inadmissible or after _POLISH_ITERATIONS
+    iterations. Returns four arrays, one entry a window: its last accepted
+    point, the profiled cost there, the rows it evaluated, and whether it
+    converged. Every window takes the same steps alone as in any batch.
     """
     count = len(starts)
+    constrained = floor > 0.0  # a ratio is never negative, so a floor at or below 0 binds nothing
+    target = floor * (1.0 + _FLOOR_MARGIN)
     lower, upper = np.array(lowers, dtype=float), np.array(uppers, dtype=float)
     width = upper - lower
     x, trial = np.array(starts, dtype=float), np.array(starts, dtype=float)
     cost, ratio = np.full(count, np.inf), np.full(count, np.nan)
-    grad, gauss = np.zeros((count, 3)), np.zeros((count, 3, 3))
+    grad, gauss, slope = np.zeros((count, 3)), np.zeros((count, 3, 3)), np.zeros((count, 3))
     lam, grow, predicted = np.full(count, 1e-3), np.full(count, 2.0), np.zeros(count)
     evaluations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+    # whether a trial with a lower cost has fallen below the floor, whether the
+    # window's next trial is the correction of such a trial, and that correction
+    met, retried, corrected = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool), trial.copy()
+    # the trial's linearised ratio, the ratio's bend, and the floor's last multiplier
+    expected, bend, mult = np.full(count, np.nan), np.zeros(count), np.zeros(count)
     active = np.arange(count)
     layout = None
     for _ in range(_POLISH_ITERATIONS):
@@ -457,29 +488,51 @@ def _polish(arrays, lowers, uppers, starts):
         stepped = np.where(ahead <= upper[active], ahead, at - _POLISH_STEP * w)
         points = np.repeat(at[:, None, :], 4, axis=1)
         points[:, [1, 2, 3], [0, 1, 2]] = stepped
-        beta, sse = layout.profile(points.reshape(-1, 3))
+        rows = points.reshape(-1, 3)
+        beta, sse = layout.profile(rows)
         evaluations[active] += 4
         sse = sse.reshape(-1, 4)
+        ratios = damping(rows[:, 1], rows[:, 2], *beta[:, 1:].T).reshape(-1, 4)
         # the Jacobian's columns in box units: the actual steps, as rounded
         scale = w / (stepped - at)
         going = np.ones(active.size, dtype=bool)
         for k, i in enumerate(active.tolist()):
-            if sse[k, 0] < cost[i]:
+            lowered = sse[k, 0] < cost[i]
+            if constrained and (met[i] or lowered and ratios[k, 0] < floor):
+                drop, length = expected[i] - ratios[k, 0], float(np.sum(((at[k] - x[i]) / w[k]) ** 2))
+                bend[i] = drop / length if drop > 0.0 and length > 0.0 else 0.0
+            if lowered and ratios[k, 0] >= floor:
                 if math.isfinite(cost[i]):
                     gain = (cost[i] - sse[k, 0]) / predicted[i]
                     # Nielsen's update; the floor keeps the system positive definite
                     lam[i] = max(lam[i] * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
                     grow[i] = 2.0
                     converged[i] = cost[i] - sse[k, 0] <= _POLISH_TOL * sse[k, 0]
-                x[i], cost[i] = at[k], sse[k, 0]
-                ratio[i] = damping(at[k, 1], at[k, 2], *beta[4 * k, 1:])
+                x[i], cost[i], ratio[i] = at[k], sse[k, 0], ratios[k, 0]
                 resid = layout.residuals[k][5]  # work row 4: the point's residuals, then its steps'
                 going[k] = not converged[i] and bool(np.isfinite(sse[k, 1:]).all())
                 jac = (resid[1:] - resid[0]) * scale[k, :, None]
                 grad[i], gauss[i] = jac @ resid[0], jac @ jac.T
+                slope[i] = (ratios[k, 1:] - ratios[k, 0]) * scale[k]
+                retried[i] = False
+            elif lowered and constrained and not retried[i]:
+                met[i] = True
+                # back onto the floor along the ratio's gradient at the trial, in
+                # the coordinates off the box's faces
+                off = (at[k] > lower[i]) & (at[k] < upper[i])
+                lift = np.where(off, (ratios[k, 1:] - ratios[k, 0]) * scale[k], 0.0)
+                reach = float(lift @ lift)
+                if reach > 0.0 and math.isfinite(reach):
+                    corrected[i] = np.clip(at[k] + lift * ((target - ratios[k, 0]) / reach) * w[k],
+                                           lower[i], upper[i])
+                    retried[i] = True
+                    continue
+                lam[i] *= grow[i]
+                grow[i] *= 2.0
             else:
                 lam[i] *= grow[i]
                 grow[i] *= 2.0
+                retried[i] = False
         active = active[going]
         if not active.size:
             break
@@ -505,16 +558,78 @@ def _polish(arrays, lowers, uppers, starts):
                 break
             step = np.where(below, (lo - at) / w, np.where(above, (hi - at) / w, step))
             held |= below | above
+        if constrained:
+            # once a trial has fallen below the floor, a step whose linearised
+            # ratio falls short of it is solved again with the floor among its
+            # constraints, under the Lagrangian's curvature: the cost's plus the
+            # multiplier times the ratio's bend. The step is then lifted, off
+            # the faces, by what the bend takes from the ratio along it
+            gap, a = target - ratio[active], slope[active]
+            short = np.flatnonzero(met[active] & ~retried[active] & ((a * step).sum(axis=1) < gap))
+            if short.size:
+                k, i = short, active[short]
+                bent = system[k] + (2.0 * mult[i] * bend[i])[:, None, None] * np.eye(3)
+                lower_k, upper_k = (lo - at)[k] / w[k], (hi - at)[k] / w[k]
+                found, mult[i] = _floor_step(bent, g[k], lower_k, upper_k, ~(diag[k] > 0.0),
+                                             a[k], gap[k])
+                lift = np.where((found > lower_k) & (found < upper_k), a[k], 0.0)
+                reach = (lift * lift).sum(axis=1)
+                loss = bend[i] * (found * found).sum(axis=1)
+                found += lift * np.divide(loss, reach, out=np.zeros_like(reach),
+                                          where=reach > 0.0)[:, None]
+                step[k] = np.where(np.isnan(found), step[k], found)
         trial[active] = np.clip(at + step * w, lo, hi)
+        back = retried[active]
+        trial[active[back]] = corrected[active[back]]
         step = (trial[active] - at) / w
+        if constrained:
+            expected[active] = ratio[active] + (slope[active] * step).sum(axis=1)
         predicted[active] = -(step * g).sum(axis=1) - 0.5 * np.einsum("ki,kij,kj->k", step, h, step)
-        # so does a step whose predicted gain is that small
-        ended = predicted[active] <= _POLISH_TOL * cost[active]
+        # so does a step whose predicted gain is that small, unless it is a correction
+        ended = (predicted[active] <= _POLISH_TOL * cost[active]) & ~back
         converged[active[ended]] = True
         active = active[~ended]
         if not active.size:
             break
-    return x, cost, ratio, evaluations, converged
+    return x, cost, evaluations, converged
+
+
+# Each coordinate of a step free, on the lower face of the box or on its upper
+# one: the 27 patterns, as masks of the free and of the lower-face coordinates.
+_FREE, _LOW = (np.indices((3, 3, 3)).reshape(3, -1).T == face for face in (0, 1))
+
+
+def _floor_step(system, g, lower, upper, fixed, a, gap):
+    """The polish's step, in box units, under the box and the damping floor's linearisation.
+
+    For each row k, the step s of least g.s + s'Ss/2 (system S, symmetric
+    and positive definite) with lower <= s <= upper, s_j = 0 where
+    fixed[k, j], and a.s >= gap: the ratio's gradient a must lift it by at
+    least the gap to the floor. The quadratic is strictly convex, so its
+    minimum under linear constraints is the least feasible one of its minima
+    over their active sets: each coordinate free or on one of its faces, and
+    the floor's tangent plane on or off; on it, one multiplier mu puts the
+    step onto the plane. Returns the steps, nan in a row that no candidate
+    satisfies, and each row's multiplier, 0 off the plane.
+    """
+    free = _FREE & ~fixed[:, None, :]  # (K, 27, 3)
+    value = np.where(free | fixed[:, None, :], 0.0,
+                     np.where(_LOW, lower[:, None, :], upper[:, None, :]))
+    pinned = np.where(free[..., :, None] & free[..., None, :], system[:, None], np.eye(3))
+    rhs = np.where(free, -g[:, None, :] - value @ system, value)
+    normal = np.where(free, a[:, None, :], 0.0)
+    z, v = np.moveaxis(np.linalg.solve(pinned, np.stack([rhs, normal], axis=3)), 3, 0)
+    reach = (normal * v).sum(axis=2)
+    lifted = (a[:, None, :] * z).sum(axis=2)
+    mu = np.divide(gap[:, None] - lifted, reach, out=np.zeros_like(reach), where=reach > 0.0)
+    steps = np.concatenate([z, z + mu[..., None] * v], axis=1)  # off the plane, then on it
+    inside = ((steps >= lower[:, None, :]) & (steps <= upper[:, None, :])).all(axis=2)
+    meets = np.concatenate([lifted >= gap[:, None], reach > 0.0], axis=1)
+    value = np.where(inside & meets,
+                     ((g[:, None, :] + 0.5 * (steps @ system)) * steps).sum(axis=2), np.inf)
+    best, rows = value.argmin(axis=1), np.arange(len(g))
+    found = np.where(np.isfinite(value[rows, best])[:, None], steps[rows, best], np.nan)
+    return found, np.where(best < len(_FREE), 0.0, mu[rows, best % len(_FREE)])
 
 
 def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list:
@@ -573,27 +688,26 @@ def _fit_windows(series: PriceSeries, windows, cfg: SearchConfig, seeds) -> list
                  if i not in polishes or not np.array_equal(polishes[i][0], f.x)}
         if fresh:
             ends = _polish(*([part[i] for i in fresh] for part in (arrays, lowers, uppers)),
-                           [f.x for f in fresh.values()])
+                           [f.x for f in fresh.values()], cfg.damping_floor)
             for (i, f), *end in zip(fresh.items(), *ends):
                 polishes[i] = (f.x, end)
         for i, f in fitted:
-            x, cost, ratio, spent, converged = polishes[i][1]
+            x, cost, spent, converged = polishes[i][1]
             spent = int(spent) if i in fresh else 0
-            taken = cost < f.cost and ratio >= cfg.damping_floor
+            taken = cost < f.cost
             finished = taken and converged and (tc_end(i, f.x[0]) or not tc_end(i, x[0]))
             out[i] = ((x, cost) if taken else (f.x, f.cost)) + (f.evaluations + spent, not finished)
         return out
 
     every = range(len(windows))
     done = polished(every, search(every, _HANDOFF))
-    # A polish that found nothing lower, did not converge, ended below the
-    # damping floor or ran tc onto an end of its interval that the search's best
-    # was not on did not finish its fit. Its leader sat on the floor, where the
-    # search creeps along it and the polish cannot follow, or on a ridge too flat
-    # for it, as the m = 1 fits with a vanishing oscillation are, where tc is all
-    # but free and the search can still travel far. Such a window is searched
-    # again without the handoff, that search's polish taken wherever it lowers
-    # the cost admissibly.
+    # A polish that found nothing lower, did not converge, or ran tc onto an
+    # end of its interval that the search's best was not on did not finish its
+    # fit: its leader sat on a ridge too flat for it, as the m = 1 fits with a
+    # vanishing oscillation are, where tc is all but free and the search can
+    # still travel far. Such a window is searched again without the handoff,
+    # that search's polish taken wherever it lowers the cost. A polish that
+    # converged on the damping floor has finished its fit like any other.
     again = [i for i in every if done[i][3]]
     if again:
         for i, (x, cost, evaluations, _) in polished(again, search(again, None)).items():

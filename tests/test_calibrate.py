@@ -16,6 +16,7 @@ from logperiodic import (
     ValidationError,
     Window,
     cost,
+    damping,
     fit,
     generate,
     ingest,
@@ -55,8 +56,8 @@ def _recording_polish(monkeypatch):
     """Each call of calibrate._polish from here on: its start points and what it returned."""
     calls, polish = [], calibrate._polish
 
-    def recording(arrays, lowers, uppers, starts):
-        ends = polish(arrays, lowers, uppers, starts)
+    def recording(arrays, lowers, uppers, starts, floor):
+        ends = polish(arrays, lowers, uppers, starts, floor)
         calls.append((np.array(starts), ends))
         return ends
 
@@ -278,15 +279,15 @@ def test_chunked_fits_equal_single_fits(strong_bubble, monkeypatch):
     assert [type(r) for r in chunk] == [type(r) for r in alone]
     assert chunk[1:] == alone[1:]  # params, cost and evaluations, bit for bit
     assert str(chunk[0]) == str(alone[0])
-    # a chunk whose first window's polish ends below the damping floor: that
-    # window alone is searched again, and every result is still fit()'s
-    series = _desk("bubble", 6)
-    windows = [Window(667 - length + 1, 667) for length in (30, 92, 154)]
-    seeds = [window_seed(6, 667, w.length) for w in windows]
+    # a chunk whose first window's polish runs tc onto the end of its
+    # interval: that window alone is searched again, its new best polished
+    # in turn, and every result is still fit()'s
+    series = _desk("bubble", 5)
+    windows = [Window(659 - length + 1, 659) for length in (30, 92, 154)]
+    seeds = [window_seed(5, 659, w.length) for w in windows]
     polishes = _recording_polish(monkeypatch)
     chunk = _fit_windows(series, windows, SearchConfig(), seeds)
-    # its second search ends on the handed-off point, so its polish is reused
-    assert [len(starts) for starts, _ in polishes] == [3]
+    assert [len(starts) for starts, _ in polishes] == [3, 1]
     assert chunk == [fit(series, w, SearchConfig(seed=seed)) for w, seed in zip(windows, seeds)]
 
 
@@ -297,9 +298,10 @@ def test_polish_keeps_a_null_fit_on_the_m_face_and_lowers_its_cost():
     seed = window_seed(7, 663, 123)
     handed, arrays, (lower, upper) = _search(series, window, seed, calibrate._HANDOFF)
     assert handed.x[1] == 1.0
-    (x,), (cost,), (ratio,), (spent,), (converged,) = calibrate._polish(
-        arrays, [lower], [upper], [handed.x])
-    assert x[1] == 1.0 and converged and ratio >= 1.0
+    (x,), (cost,), (spent,), (converged,) = calibrate._polish(
+        arrays, [lower], [upper], [handed.x], 1.0)
+    assert x[1] == 1.0 and converged
+    assert damping(LpplsParams(*x, *linear_solve(series, window, *x))) >= 1.0
     assert cost < 0.95 * handed.cost
     # fit() takes the polished point, and counts the polish's evaluations
     result = fit(series, window, SearchConfig(seed=seed))
@@ -308,23 +310,89 @@ def test_polish_keeps_a_null_fit_on_the_m_face_and_lowers_its_cost():
     assert result.evaluations == handed.evaluations + spent
 
 
-def test_window_whose_polish_ends_below_the_floor_is_searched_again(monkeypatch):
-    # this bubble window's leader sits on the damping floor: its polish goes
-    # through the floor, so the window is searched again without the handoff.
-    # That search is the one made without the rule, bit for bit. It ends on
-    # the handed-off point, so the first polish is reused rather than made
-    # again; the evaluations count both searches and the one polish
+def test_floor_bound_leader_finishes_in_one_search(monkeypatch):
+    # this bubble window's leader sits on the damping floor and on omega's lower
+    # face. The polish slides along the floor to the constrained minimum and
+    # converges there, so the window is fitted by one search and one polish,
+    # to a cost below the handed-off one, with the ratio still on the floor
     series, window = _desk("bubble", 6), Window(667 - 30 + 1, 667)
     seed = window_seed(6, 667, 30)
     polishes = _recording_polish(monkeypatch)
     result = fit(series, window, SearchConfig(seed=seed))
     handed, _, _ = _search(series, window, seed, calibrate._HANDOFF)
+    ((first, ends),) = polishes
+    assert np.array_equal(first, [handed.x]) and ends[3][0]
+    assert result.evaluations == handed.evaluations + ends[2][0]
+    assert result.cost < handed.cost
+    assert 1.0 <= damping(result.params) < 1.0 + 1e-6
+
+
+def test_window_that_falls_back_for_another_reason_is_searched_again(monkeypatch):
+    # this bubble window's polish runs tc onto the upper end of its interval,
+    # which its handed-off leader was not on, so the window is searched again
+    # without the handoff: that search is the one made without the rule, bit
+    # for bit, it ends elsewhere, and its best is polished in turn; the
+    # evaluations count both searches and both polishes
+    series, window = _desk("bubble", 5), Window(659 - 30 + 1, 659)
+    seed = window_seed(5, 659, 30)
+    polishes = _recording_polish(monkeypatch)
+    result = fit(series, window, SearchConfig(seed=seed))
+    handed, _, _ = _search(series, window, seed, calibrate._HANDOFF)
+    plain, _, _ = _search(series, window, seed, None)
+    (first, ends), (second, again) = polishes
+    assert np.array_equal(first, [handed.x]) and ends[0][0][0] == SearchConfig().tc_bounds(window)[1]
+    assert np.array_equal(second, [plain.x]) and not np.array_equal(plain.x, handed.x)
+    assert result.evaluations == handed.evaluations + ends[2][0] + plain.evaluations + again[2][0]
+    assert result.cost <= plain.cost
+    # a null window whose polish finds nothing lower: its second search ends on
+    # the handed-off point, so the first polish is reused, not made again
+    series, window = _desk("null", 1), Window(659 - 30 + 1, 659)
+    seed = window_seed(1, 659, 30)
+    polishes = _recording_polish(monkeypatch)
+    result = fit(series, window, SearchConfig(seed=seed))
+    handed, _, _ = _search(series, window, seed, calibrate._HANDOFF)
     plain, _, _ = _search(series, window, seed, None)
     ((first, ends),) = polishes
-    assert np.array_equal(first, [handed.x]) and ends[2][0] < 1.0
-    assert np.array_equal(plain.x, handed.x)
-    assert result.evaluations == handed.evaluations + ends[3][0] + plain.evaluations
-    assert result.cost <= plain.cost
+    assert np.array_equal(first, [handed.x]) and np.array_equal(plain.x, handed.x)
+    assert result.cost == plain.cost == ends[1][0]
+    assert result.evaluations == handed.evaluations + ends[2][0] + plain.evaluations
+
+
+# The desk windows (tools/tree_ab.py) that the fit without a floor in its
+# polish searched twice: 8 bubble and 18 null windows, as (series, seed, t2, n).
+_FELL_BACK = [("bubble", s, 667, 30) for s in (0, 1, 2, 3, 5, 6, 7)] + [("bubble", 5, 659, 30)] + [
+    ("null", s, 659, n) for s, lengths in ((0, (61,)), (1, (247, 61, 30)), (2, (650, 92)), (3, (30,)),
+                                            (4, (650, 371, 340, 247, 61)),
+                                            (5, (526, 309, 216, 123, 61, 30)))
+    for n in lengths]
+
+
+@pytest.mark.parametrize("kind, seed, t2, n", _FELL_BACK)
+def test_polish_keeps_no_point_below_the_floor(monkeypatch, kind, seed, t2, n):
+    # every trial the polish profiles is recorded with its cost and ratio; the
+    # points it accepts are those whose cost is below the last accepted one's
+    # and whose ratio is at or above the floor, and it must end on the last of
+    # them. A polish that accepted a point below the floor, or stepped on from
+    # one, would not
+    series, window = _desk(kind, seed), Window(t2 - n + 1, t2)
+    handed, arrays, (lower, upper) = _search(series, window, window_seed(seed, t2, n),
+                                             calibrate._HANDOFF)
+    trials, profile = [], calibrate._Layout.profile
+
+    def recording(layout, points):
+        beta, sse = profile(layout, points)
+        trials.append((points[0].copy(), sse[0], damping(*points[0, 1:], *beta[0, 1:])))
+        return beta, sse
+
+    monkeypatch.setattr(calibrate._Layout, "profile", recording)
+    (x,), (cost,), (spent,), _ = calibrate._polish(arrays, [lower], [upper], [handed.x], 1.0)
+    assert len(trials) == spent // 4
+    accepted = [(math.inf, None)]
+    for point, sse, ratio in trials:
+        if sse < accepted[-1][0] and ratio >= 1.0:
+            accepted.append((sse, point))
+    assert len(accepted) > 1 and accepted[-1][0] == cost and np.array_equal(accepted[-1][1], x)
+    assert damping(LpplsParams(*x, *linear_solve(series, window, *x))) >= 1.0
 
 
 def test_scale_covariance(exact_bubble):
