@@ -12,6 +12,15 @@ each checkout, one after the other, a first in even pairs and b first in
 odd ones, so that a drift of the host over the session falls on both
 sides alike. Every run's metrics are kept.
 
+Both sides run in the same bytecode state: each gets its own
+PYTHONPYCACHEPREFIX, a fresh directory outside both checkouts, and may
+write bytecode there whatever the caller's PYTHONDONTWRITEBYTECODE says.
+So a `__pycache__` that one checkout holds and the other lacks is never
+read (it would lower that side's `setup_s`), and each side compiles what
+it imports, the standard library and numpy too, once, in its first
+interpreter, and reads it back in the later ones. The settings record the
+two prefixes.
+
 For each workload and metric the report prints each side's median and
 quartiles (inclusive method) over the pairs, the ratio of the medians,
 the number of pairs b wins (a strictly better value, in the direction the
@@ -30,9 +39,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -46,11 +57,19 @@ def label_of(checkout: Path) -> str:
     return checkout.name
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its check counts, metric values and environment record."""
+def side_env(pycache: Path) -> dict:
+    """The environment of one side's runs: the caller's, reading and writing bytecode under `pycache`."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+             env: dict) -> dict:
+    """One perfbench run under `env`: its check counts, metric values and environment record."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.splitlines()
     if done.returncode or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {done.returncode}:\n"
@@ -113,6 +132,27 @@ def report(summary: dict) -> list[str]:
     return lines
 
 
+def run_pairs(trees, workloads, envs, args, end_to_end):
+    """Every run of every pair, each side under its environment; None once a run fails a check."""
+    runs = []
+    for workload in workloads:
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            for side in ("ab" if i % 2 == 0 else "ba"):
+                tree = trees["ab".index(side)]
+                run = run_once(tree, workload, seed, args.seconds, args.trace, envs[side])
+                runs.append({"workload": workload, "seed": seed, "side": side, **run})
+                print(f"{workload} seed {seed} {side}: "
+                      + " ".join(f"{k}={run['metrics'][k]:.4g}" for k in end_to_end
+                                 if k in run["metrics"]),
+                      file=sys.stderr, flush=True)
+                if not run["correct"] or run["failed"]:
+                    print(f"{tree}: {workload} seed {seed}: {run['failed']} of "
+                          f"{run['attempted']} checks failed", file=sys.stderr)
+                    return None
+    return runs
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a")
@@ -138,23 +178,11 @@ def main(argv) -> int:
                        for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
     end_to_end = [m["name"] for m in declared.get("end_to_end", [])]
     labels = [args.label_a or label_of(trees[0]), args.label_b or label_of(trees[1])]
-
-    runs = []
-    for workload in workloads:
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            for side in ("ab" if i % 2 == 0 else "ba"):
-                tree = trees["ab".index(side)]
-                run = run_once(tree, workload, seed, args.seconds, args.trace)
-                runs.append({"workload": workload, "seed": seed, "side": side, **run})
-                print(f"{workload} seed {seed} {side}: "
-                      + " ".join(f"{k}={run['metrics'][k]:.4g}" for k in end_to_end
-                                 if k in run["metrics"]),
-                      file=sys.stderr, flush=True)
-                if not run["correct"] or run["failed"]:
-                    print(f"{tree}: {workload} seed {seed}: {run['failed']} of "
-                          f"{run['attempted']} checks failed", file=sys.stderr)
-                    return 1
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
+        envs = {side: side_env(Path(pycache) / side) for side in "ab"}
+        runs = run_pairs(trees, workloads, envs, args, end_to_end)
+    if runs is None:
+        return 1
     runs.sort(key=lambda r: (workloads.index(r["workload"]), r["seed"], r["side"]))
     summary = summarize(runs, lower_is_better)
     print("\n".join(report(summary)))
@@ -164,7 +192,8 @@ def main(argv) -> int:
         "b": labels[1],
         "settings": {"workloads": workloads, "pairs": args.pairs, "seconds": args.seconds,
                      "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
-                     "trace": args.trace},
+                     "trace": args.trace,
+                     "pycache_prefix": {side: env["PYTHONPYCACHEPREFIX"] for side, env in envs.items()}},
         "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
