@@ -499,7 +499,8 @@ def _polish(arrays, lowers, uppers, starts, floor):
         for k, i in enumerate(active.tolist()):
             lowered = sse[k, 0] < cost[i]
             if constrained and (met[i] or lowered and ratios[k, 0] < floor):
-                drop, length = expected[i] - ratios[k, 0], float(np.sum(((at[k] - x[i]) / w[k]) ** 2))
+                moved = (at[k] - x[i]) / w[k]
+                drop, length = expected[i] - ratios[k, 0], float(np.sum(moved ** 2))
                 bend[i] = drop / length if drop > 0.0 and length > 0.0 else 0.0
             if lowered and ratios[k, 0] >= floor:
                 if math.isfinite(cost[i]):
@@ -613,10 +614,10 @@ def _floor_step(system, g, lower, upper, fixed, a, gap):
     satisfies, and each row's multiplier, 0 off the plane.
     """
     free = _FREE & ~fixed[:, None, :]  # (K, 27, 3)
-    value = np.where(free | fixed[:, None, :], 0.0,
-                     np.where(_LOW, lower[:, None, :], upper[:, None, :]))
+    held = np.where(free | fixed[:, None, :], 0.0,
+                    np.where(_LOW, lower[:, None, :], upper[:, None, :]))
     pinned = np.where(free[..., :, None] & free[..., None, :], system[:, None], np.eye(3))
-    rhs = np.where(free, -g[:, None, :] - value @ system, value)
+    rhs = np.where(free, -g[:, None, :] - held @ system, held)
     normal = np.where(free, a[:, None, :], 0.0)
     z, v = np.moveaxis(np.linalg.solve(pinned, np.stack([rhs, normal], axis=3)), 3, 0)
     reach = (normal * v).sum(axis=2)

@@ -1,4 +1,4 @@
-"""The environment tools/bench_pairs.py gives each side's runs, and what it records of it (no benchmark runs)."""
+"""The environment tools/bench_pairs.py gives each side's runs, and its record (runs faked)."""
 
 import json
 import subprocess
@@ -50,7 +50,8 @@ def test_each_side_runs_under_its_own_prefix_outside_both_checkouts(tmp_path, mo
 
     def fake_run(args, cwd, capture_output, text, env):
         seen.append((Path(cwd), env["PYTHONPYCACHEPREFIX"]))
-        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"item_s": {"value": 1.0}}}
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"item_s": {"value": 1.0}}}
         return subprocess.CompletedProcess(args, 0, stdout=json.dumps(result) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -64,5 +65,4 @@ def test_each_side_runs_under_its_own_prefix_outside_both_checkouts(tmp_path, mo
     assert pa != pb
     for prefix in (pa, pb):
         assert not any(Path(prefix).is_relative_to(tree) for tree in trees)
-    settings = json.loads(output.read_text())["settings"]
-    assert settings["pycache_prefix"] == {"a": pa, "b": pb}
+    assert json.loads(output.read_text())["settings"]["bytecode"] == bench_pairs.BYTECODE

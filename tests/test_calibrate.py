@@ -340,7 +340,8 @@ def test_window_that_falls_back_for_another_reason_is_searched_again(monkeypatch
     handed, _, _ = _search(series, window, seed, calibrate._HANDOFF)
     plain, _, _ = _search(series, window, seed, None)
     (first, ends), (second, again) = polishes
-    assert np.array_equal(first, [handed.x]) and ends[0][0][0] == SearchConfig().tc_bounds(window)[1]
+    assert np.array_equal(first, [handed.x])
+    assert ends[0][0][0] == SearchConfig().tc_bounds(window)[1]
     assert np.array_equal(second, [plain.x]) and not np.array_equal(plain.x, handed.x)
     assert result.evaluations == handed.evaluations + ends[2][0] + plain.evaluations + again[2][0]
     assert result.cost <= plain.cost
@@ -361,9 +362,9 @@ def test_window_that_falls_back_for_another_reason_is_searched_again(monkeypatch
 # The desk windows (tools/tree_ab.py) that the fit without a floor in its
 # polish searched twice: 8 bubble and 18 null windows, as (series, seed, t2, n).
 _FELL_BACK = [("bubble", s, 667, 30) for s in (0, 1, 2, 3, 5, 6, 7)] + [("bubble", 5, 659, 30)] + [
-    ("null", s, 659, n) for s, lengths in ((0, (61,)), (1, (247, 61, 30)), (2, (650, 92)), (3, (30,)),
-                                            (4, (650, 371, 340, 247, 61)),
-                                            (5, (526, 309, 216, 123, 61, 30)))
+    ("null", s, 659, n)
+    for s, lengths in ((0, (61,)), (1, (247, 61, 30)), (2, (650, 92)), (3, (30,)),
+                       (4, (650, 371, 340, 247, 61)), (5, (526, 309, 216, 123, 61, 30)))
     for n in lengths]
 
 

@@ -18,8 +18,8 @@ write bytecode there whatever the caller's PYTHONDONTWRITEBYTECODE says.
 So a `__pycache__` that one checkout holds and the other lacks is never
 read (it would lower that side's `setup_s`), and each side compiles what
 it imports, the standard library and numpy too, once, in its first
-interpreter, and reads it back in the later ones. The settings record the
-two prefixes.
+interpreter, and reads it back in the later ones. The settings record this
+as `bytecode`.
 
 For each workload and metric the report prints each side's median and
 quartiles (inclusive method) over the pairs, the ratio of the medians,
@@ -57,8 +57,11 @@ def label_of(checkout: Path) -> str:
     return checkout.name
 
 
+BYTECODE = "own fresh PYTHONPYCACHEPREFIX per side, outside both checkouts, written"
+
+
 def side_env(pycache: Path) -> dict:
-    """The environment of one side's runs: the caller's, reading and writing bytecode under `pycache`."""
+    """One side's environment: the caller's, reading and writing bytecode under `pycache`."""
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
@@ -192,8 +195,7 @@ def main(argv) -> int:
         "b": labels[1],
         "settings": {"workloads": workloads, "pairs": args.pairs, "seconds": args.seconds,
                      "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
-                     "trace": args.trace,
-                     "pycache_prefix": {side: env["PYTHONPYCACHEPREFIX"] for side, env in envs.items()}},
+                     "trace": args.trace, "bytecode": BYTECODE},
         "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
